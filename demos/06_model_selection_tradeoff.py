@@ -13,7 +13,6 @@ from transistor_ops import (
     ModelSpec,
     analyze,
     model_family,
-    predict,
     tradeoff_select,
 )
 from transistor_ops.energy import LinearModel
@@ -32,7 +31,7 @@ candidates = []
 for member in model_family(base, range(4, 13), [Activation.SIGMOID]):
     width = member.layers[0].outputs
     tos = analyze(member, AnalysisLevel.TRAINING).per_step.total
-    energy = predict(lm, tos)
+    energy = lm.predict(tos)
     loss = 0.05 + 0.8 / width + float(rng.uniform(0, 0.01))
     candidates.append((member.name, energy, loss))
 

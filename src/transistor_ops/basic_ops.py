@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from .model import (
     Activation,
     AnalysisLevel,
-    Convolutional,
     FullyConnected,
     LayerSpec,
     Loss,
@@ -86,10 +85,6 @@ class BasicOpCounts:
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.n_add, self.n_sub, self.n_mul, self.n_div, self.n_root)
 
-    @classmethod
-    def zero(cls) -> "BasicOpCounts":
-        return cls()
-
 
 # Forward ops per activated unit.
 _ACT_FORWARD = {
@@ -122,15 +117,8 @@ def count_activation(act: Activation, units: int) -> BasicOpCounts:
 
 def count_forward_parts(layer: LayerSpec) -> tuple[BasicOpCounts, BasicOpCounts]:
     """Forward census split into (linear multiply-accumulate, activation) parts."""
-    if isinstance(layer, FullyConnected):
-        macs = layer.inputs * layer.outputs
-    elif isinstance(layer, Convolutional):
-        macs = (layer.out_width ** 2 * layer.out_channels
-                * layer.in_channels * layer.kernel ** 2)
-    else:
-        raise UnsupportedError(f"unknown layer kind: {layer!r}")
     # Each output accumulates its products and adds the bias, so adds == muls.
-    linear = BasicOpCounts(n_add=macs, n_mul=macs)
+    linear = BasicOpCounts(n_add=layer.macs, n_mul=layer.macs)
     return linear, count_activation(layer.activation, layer.output_units)
 
 
@@ -232,7 +220,7 @@ def count_model(model: ModelSpec, level: AnalysisLevel) -> ModelBoReport:
                     f"only; layer {index + 1} is convolutional"
                 )
 
-    zero = BasicOpCounts.zero()
+    zero = BasicOpCounts()
     profiles = []
     per_instance = zero
     nonlinear = zero
@@ -258,8 +246,8 @@ def count_model(model: ModelSpec, level: AnalysisLevel) -> ModelBoReport:
     else:
         loss = zero
 
-    instances = model.dataset_len * model.epochs
-    steps = model.steps_per_epoch * model.epochs
+    instances = model.instances_per_run
+    steps = model.steps_per_run
     per_run = per_instance * instances + update_total * steps
     nonlinear_run = nonlinear * instances + update_total * steps
 

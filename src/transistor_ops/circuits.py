@@ -21,12 +21,21 @@ The cost table is immutable after load and every function here is pure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
 from .basic_ops import BasicOpCounts, ModelBoReport, count_model
-from .model import AnalysisLevel, FloatFormat, ModelSpec, ParseError
+from .model import (
+    AnalysisLevel,
+    FloatFormat,
+    ModelSpec,
+    ParseError,
+    as_count,
+    as_number,
+    check_keys,
+    parse_json_object,
+    read_document,
+)
 
 
 class OpKind(Enum):
@@ -85,40 +94,37 @@ _TABLE_KEYS = {
 
 def parse_cost_table(text: str) -> CostTable:
     """Parse a cost-table document; every key is optional, unknown keys
-    are rejected."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("cost table: expected an object")
-    unknown = sorted(set(doc) - _TABLE_KEYS)
-    if unknown:
-        raise ParseError(f"cost table: unknown key(s) {', '.join(unknown)}")
+    are rejected, and each value must be a finite number (an integer for
+    the bit widths and the iteration count)."""
+    doc = parse_json_object(text, "cost table")
+    check_keys(doc, _TABLE_KEYS, set(), "cost table")
     base = DEFAULT_COST_TABLE
+
+    def get(key, default, read=as_number):
+        return read(doc[key], key) if key in doc else default
+
     try:
         return CostTable(
-            fa_transistors=float(doc.get("fa", base.fa_transistors)),
-            ha_transistors=float(doc.get("ha", base.ha_transistors)),
-            xor_transistors=float(doc.get("xor", base.xor_transistors)),
+            fa_transistors=get("fa", base.fa_transistors),
+            ha_transistors=get("ha", base.ha_transistors),
+            xor_transistors=get("xor", base.xor_transistors),
             mult_ref=ScaledUnitRef(
-                int(doc.get("mult_ref_bits", base.mult_ref.bits)),
-                float(doc.get("mult_ref_transistors", base.mult_ref.transistors)),
+                get("mult_ref_bits", base.mult_ref.bits, as_count),
+                get("mult_ref_transistors", base.mult_ref.transistors),
             ),
             div_ref=ScaledUnitRef(
-                int(doc.get("div_ref_bits", base.div_ref.bits)),
-                float(doc.get("div_ref_transistors", base.div_ref.transistors)),
+                get("div_ref_bits", base.div_ref.bits, as_count),
+                get("div_ref_transistors", base.div_ref.transistors),
             ),
-            scaling_exponent=float(doc.get("scaling_exponent", base.scaling_exponent)),
-            newton_iterations=int(doc.get("newton_iterations", base.newton_iterations)),
+            scaling_exponent=get("scaling_exponent", base.scaling_exponent),
+            newton_iterations=get("newton_iterations", base.newton_iterations, as_count),
         )
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ParseError(f"cost table: {e}") from None
 
 
 def load_cost_table(path) -> CostTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_cost_table(fh.read())
+    return read_document(path, lambda fh: parse_cost_table(fh.read()))
 
 
 def adder_tos(bits: int, table: CostTable = DEFAULT_COST_TABLE) -> float:
@@ -166,11 +172,14 @@ def fp_cost_vector(fmt: FloatFormat,
                  (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.ROOT))
 
 
+def _dot(bos: BasicOpCounts, costs: tuple[float, ...]) -> float:
+    return float(sum(n * c for n, c in zip(bos.as_tuple(), costs)))
+
+
 def tos_from_bos(bos: BasicOpCounts, fmt: FloatFormat,
                  table: CostTable = DEFAULT_COST_TABLE) -> float:
     """Lower a census vector to transistor operations (linear in the census)."""
-    costs = fp_cost_vector(fmt, table)
-    return float(sum(n * c for n, c in zip(bos.as_tuple(), costs)))
+    return _dot(bos, fp_cost_vector(fmt, table))
 
 
 @dataclass(frozen=True)
@@ -185,10 +194,6 @@ class PhaseTos:
     @property
     def total(self) -> float:
         return self.forward + self.backprop + self.loss + self.update
-
-    def scaled(self, factor: float) -> "PhaseTos":
-        return PhaseTos(self.forward * factor, self.backprop * factor,
-                        self.loss * factor, self.update * factor)
 
 
 @dataclass(frozen=True)
@@ -222,10 +227,10 @@ def analyze(model: ModelSpec, level: AnalysisLevel,
             table: CostTable = DEFAULT_COST_TABLE) -> ToProfile:
     """Lower the model's census at ``level`` to transistor operations."""
     report: ModelBoReport = count_model(model, level)
-    fmt = model.float_format
+    costs = fp_cost_vector(model.float_format, table)
 
     def lower(bos: BasicOpCounts) -> float:
-        return tos_from_bos(bos, fmt, table)
+        return _dot(bos, costs)
 
     layer_forward = tuple(lower(p.forward) for p in report.layers)
     layer_backprop = tuple(lower(p.backprop) for p in report.layers)
@@ -244,7 +249,9 @@ def analyze(model: ModelSpec, level: AnalysisLevel,
         loss=per_instance.loss * report.instances_per_run,
         update=update_per_batch * report.steps_per_run,
     )
-    per_step = per_run.scaled(1.0 / report.steps_per_run)
+    step = 1.0 / report.steps_per_run
+    per_step = PhaseTos(per_run.forward * step, per_run.backprop * step,
+                        per_run.loss * step, per_run.update * step)
 
     nonlinear_run = lower(report.nonlinear_per_run)
     share = nonlinear_run / per_run.total if per_run.total > 0 else 0.0

@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline stages: ``count`` (per-layer basic
 operations), ``tos`` (transistor-operation lowering), ``ingest`` (power
 traces to energy samples), ``fit`` (workload-to-energy regression),
-``estimate`` (predict energies), ``sweep`` (width x activation familes),
+``estimate`` (predict energies), ``sweep`` (width x activation families),
 ``compare`` (scorecard against measurements) and ``tradeoff`` (energy
 versus loss selection).
 
@@ -32,16 +32,15 @@ from .circuits import (
 )
 from .energy import (
     ColumnAdapter,
-    DegenerateFitError,
     EnergySample,
-    TraceError,
     error_metrics,
+    finite_float,
     fit,
     integrate_power,
     load_adapter,
-    read_energy_samples,
-    read_linear_model,
+    load_linear_model,
     read_power_trace,
+    read_table,
     tradeoff_select,
     trimmed_mean,
     write_energy_samples,
@@ -54,9 +53,9 @@ from .model import (
     FLOAT_FORMATS,
     ModelSpec,
     ParseError,
-    ValidationError,
     model_family,
     parse_model_file,
+    read_document,
 )
 from .oracle import default_inputs, default_weights, run_training_step
 
@@ -115,6 +114,20 @@ def _parse_activations(text: str) -> list[Activation]:
     if not names:
         raise ValueError("activation list is empty")
     return [Activation(name) for name in names]
+
+
+def _read_rows(path: str, columns: dict) -> list[tuple]:
+    return read_document(path, lambda fh: list(read_table(fh, columns)))
+
+
+def _read_by_id(path: str, column: str) -> dict[str, float]:
+    """A ``model_id -> column`` table in file order; ids must be unique."""
+    table: dict[str, float] = {}
+    for model_id, value in _read_rows(path, {"model_id": str, column: finite_float}):
+        if model_id in table:
+            raise ParseError(f"{path}: duplicate model_id {model_id!r}")
+        table[model_id] = value
+    return table
 
 
 def _csv_table(rows: list[list[str]]) -> str:
@@ -192,10 +205,7 @@ def cmd_ingest(args) -> int:
     samples = []
     for path in args.traces:
         model_id, run_id = _trace_identity(path)
-        try:
-            trace = read_power_trace(path, adapter)
-        except TraceError as e:
-            raise TraceError(f"{path}: {e}") from None
+        trace = read_power_trace(path, adapter)
         samples.append(EnergySample(model_id, run_id, integrate_power(trace)))
     samples.sort(key=lambda s: (s.model_id, s.run_id))
     by_model: dict[str, list[float]] = {}
@@ -209,22 +219,8 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _read_fit_pairs(path: str) -> list[tuple[float, float]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["tos", "joules"]:
-            raise ParseError(f"{path}: fit input must have header 'tos,joules'")
-        pairs = []
-        for row_index, row in enumerate(reader, start=2):
-            try:
-                pairs.append((float(row["tos"]), float(row["joules"])))
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}: row {row_index}: cannot parse pair") from None
-    return pairs
-
-
 def cmd_fit(args) -> int:
-    pairs = _read_fit_pairs(args.pairs)
+    pairs = _read_rows(args.pairs, {"tos": finite_float, "joules": finite_float})
     model = fit(pairs)
     _emit(write_linear_model(model), args.out)
     return EXIT_OK
@@ -239,23 +235,13 @@ def _scaled_tos(profile: ToProfile, scale: str) -> float:
 
 
 def cmd_estimate(args) -> int:
-    with open(args.fitted, "r", encoding="utf-8") as fh:
-        lr = read_linear_model(fh.read())
+    lr = load_linear_model(args.fitted)
     level = AnalysisLevel(args.level)
     table = _load_table(args.cost_table)
     rows = [["model_id", "tos", "predicted_j"]]
     entries: list[tuple[str, float]] = []
     if args.tos_file:
-        with open(args.tos_file, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != ["model_id", "tos"]:
-                raise ParseError(f"{args.tos_file}: expected header 'model_id,tos'")
-            for row_index, row in enumerate(reader, start=2):
-                try:
-                    entries.append((row["model_id"], float(row["tos"])))
-                except (TypeError, ValueError):
-                    raise ParseError(f"{args.tos_file}: row {row_index}: "
-                                     f"cannot parse") from None
+        entries = _read_rows(args.tos_file, {"model_id": str, "tos": finite_float})
     if not entries and not args.models:
         raise ValueError("estimate needs model files or --tos-file")
     for path in args.models:
@@ -310,10 +296,7 @@ def cmd_sweep(args) -> int:
     activations = _parse_activations(args.activations)
     level = AnalysisLevel(args.level)
     table = _load_table(args.cost_table)
-    lr = None
-    if args.fitted_model:
-        with open(args.fitted_model, "r", encoding="utf-8") as fh:
-            lr = read_linear_model(fh.read())
+    lr = load_linear_model(args.fitted_model) if args.fitted_model else None
     family = model_family(base, widths, activations)
     rows = [["width", "activation", "tos", "macs", "flops", "predicted_j"]]
     svg_points: dict[str, list[tuple[float, float]]] = {}
@@ -342,36 +325,11 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _read_predictions(path: str, value_column: str) -> dict[str, float]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "model_id" not in reader.fieldnames \
-                or value_column not in reader.fieldnames:
-            raise ParseError(f"{path}: expected columns model_id,{value_column}")
-        out: dict[str, float] = {}
-        for row_index, row in enumerate(reader, start=2):
-            try:
-                out[row["model_id"]] = float(row[value_column])
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}: row {row_index}: cannot parse") from None
-    return out
-
-
 def cmd_compare(args) -> int:
-    pred_tos = _read_predictions(args.predictions_tos, "predicted_j")
-    pred_flops = _read_predictions(args.predictions_flops, "predicted_j")
-    with open(args.actual, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "model_id" not in reader.fieldnames \
-                or "joules" not in reader.fieldnames:
-            raise ParseError(f"{args.actual}: expected columns model_id,joules")
-        actual: list[tuple[str, float]] = []
-        for row_index, row in enumerate(reader, start=2):
-            try:
-                actual.append((row["model_id"], float(row["joules"])))
-            except (TypeError, ValueError):
-                raise ParseError(f"{args.actual}: row {row_index}: cannot parse") from None
-    ids = [model_id for model_id, _ in actual]
+    pred_tos = _read_by_id(args.predictions_tos, "predicted_j")
+    pred_flops = _read_by_id(args.predictions_flops, "predicted_j")
+    actual = _read_by_id(args.actual, "joules")
+    ids = list(actual)
     if len(pred_tos) != len(ids) or len(pred_flops) != len(ids):
         raise ValueError(f"prediction/actual length mismatch: "
                          f"{len(pred_tos)} vs {len(pred_flops)} vs {len(ids)}")
@@ -379,7 +337,7 @@ def cmd_compare(args) -> int:
         if model_id not in pred_tos or model_id not in pred_flops:
             raise ValueError(f"model {model_id!r} missing from a prediction file")
 
-    actual_values = [a for _, a in actual]
+    actual_values = list(actual.values())
     tos_values = [pred_tos[i] for i in ids]
     flops_values = [pred_flops[i] for i in ids]
     tos_report = error_metrics(tos_values, actual_values)
@@ -403,20 +361,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
-    with open(args.candidates, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["model_id", "energy_j", "loss"]
-        if reader.fieldnames != expected:
-            raise ParseError(f"{args.candidates}: expected header "
-                             f"{','.join(expected)}")
-        candidates = []
-        for row_index, row in enumerate(reader, start=2):
-            try:
-                candidates.append((row["model_id"], float(row["energy_j"]),
-                                   float(row["loss"])))
-            except (TypeError, ValueError):
-                raise ParseError(f"{args.candidates}: row {row_index}: "
-                                 f"cannot parse") from None
+    candidates = _read_rows(args.candidates, {"model_id": str, "energy_j": finite_float,
+                                              "loss": finite_float})
     selected = tradeoff_select(candidates, args.alpha)
     sys.stdout.write(selected + "\n")
     return EXIT_OK
@@ -538,8 +484,9 @@ def main(argv=None) -> int:
     except UnsupportedError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ParseError, ValidationError, TraceError, DegenerateFitError,
-            ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
+        # ParseError, ValidationError, TraceError and DegenerateFitError
+        # are all ValueErrors.
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

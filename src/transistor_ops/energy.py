@@ -24,17 +24,63 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import ParseError
+from .model import (
+    ParseError,
+    as_count,
+    as_number,
+    check_keys,
+    parse_json_object,
+    read_document,
+)
 
 
-class TraceError(ValueError):
-    """A power trace is malformed (too short or non-monotone time)."""
+class TraceError(ParseError):
+    """A power trace is malformed (unreadable, too short, non-finite,
+    or with non-monotone time)."""
+
+
+def finite_float(text: str) -> float:
+    """CSV cell converter: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def read_table(source: str | IO[str],
+               columns: dict[str, Callable[[str], Any]]) -> Iterator[tuple]:
+    """Stream the rows of a CSV table, converted column by column.
+
+    ``source`` is the table's text or an open file. The header must name
+    every key of ``columns``; other columns are ignored. Each non-blank
+    row yields one tuple of converted cells in the order of ``columns``.
+    A converter signals a bad cell by raising ``ValueError``; any bad row
+    raises :class:`ParseError` that names its line as ``row N``.
+    """
+    reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
+    header = next(reader, [])
+    missing = [name for name in columns if name not in header]
+    if missing:
+        raise ParseError(f"header must name column(s) {', '.join(missing)}")
+    cells = [(header.index(name), convert) for name, convert in columns.items()]
+    for row in reader:
+        if not row:
+            continue
+        try:
+            values = tuple([convert(row[i]) for i, convert in cells])
+        except IndexError:
+            raise ParseError(f"row {reader.line_num}: has {len(row)} field(s), "
+                             f"the header has {len(header)}") from None
+        except ValueError as e:
+            raise ParseError(f"row {reader.line_num}: {e}") from None
+        yield values
 
 
 class DegenerateFitError(ValueError):
@@ -59,11 +105,13 @@ class PowerTrace:
             raise TraceError("times and watts differ in length")
         if len(self.times) < 2:
             raise TraceError("a power trace needs at least 2 samples")
-        for i in range(1, len(self.times)):
-            if self.times[i] <= self.times[i - 1]:
+        for i, (t, p) in enumerate(zip(self.times, self.watts)):
+            if not (math.isfinite(t) and math.isfinite(p)):
+                raise TraceError(f"time and power must be finite; "
+                                 f"violated at sample index {i}")
+            if i and t <= self.times[i - 1]:
                 raise TraceError(f"time must be strictly increasing; "
                                  f"violated at sample index {i}")
-        for i, p in enumerate(self.watts):
             if p < 0:
                 raise TraceError(f"power must be non-negative; "
                                  f"violated at sample index {i}")
@@ -90,68 +138,60 @@ class ColumnAdapter:
     time_format: str = "seconds"
 
 
+CANONICAL_TRACE = ColumnAdapter("elapsed_s", "power_w")
+
+
 def parse_adapter(text: str) -> ColumnAdapter:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("adapter config: expected an object")
-    allowed = {"time_column", "power_column", "time_format"}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ParseError(f"adapter config: unknown key(s) {', '.join(unknown)}")
-    for key in ("time_column", "power_column"):
-        if key not in doc or not isinstance(doc[key], str):
+    doc = parse_json_object(text, "adapter config")
+    check_keys(doc, {"time_column", "power_column", "time_format"},
+               {"time_column", "power_column"}, "adapter config")
+    for key, value in doc.items():
+        if not isinstance(value, str):
             raise ParseError(f"adapter config: {key} must be a string")
-    fmt = doc.get("time_format", "seconds")
-    if not isinstance(fmt, str):
-        raise ParseError("adapter config: time_format must be a string")
-    return ColumnAdapter(doc["time_column"], doc["power_column"], fmt)
+    return ColumnAdapter(**doc)
 
 
 def load_adapter(path) -> ColumnAdapter:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_adapter(fh.read())
+    return read_document(path, lambda fh: parse_adapter(fh.read()))
 
 
-def parse_power_trace(text: str, adapter: ColumnAdapter | None = None) -> PowerTrace:
-    """Parse a trace CSV: canonical layout, or a vendor layout through
-    ``adapter``."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        raise TraceError("trace file is empty")
-    time_col = adapter.time_column if adapter else "elapsed_s"
-    power_col = adapter.power_column if adapter else "power_w"
-    for col in (time_col, power_col):
-        if col not in reader.fieldnames:
-            raise TraceError(f"trace is missing column {col!r} "
-                             f"(found: {', '.join(reader.fieldnames)})")
+def _seconds_since_first(time_format: str) -> Callable[[str], float]:
+    """Cell converter: strptime timestamps to seconds since the first row."""
+    first: datetime | None = None
+
+    def convert(text: str) -> float:
+        nonlocal first
+        stamp = datetime.strptime(text.strip(), time_format)
+        if first is None:
+            first = stamp
+        return (stamp - first).total_seconds()
+
+    return convert
+
+
+def parse_power_trace(source: str | IO[str],
+                      adapter: ColumnAdapter | None = None) -> PowerTrace:
+    """Parse a trace CSV (its text or an open file): canonical layout, or a
+    vendor layout through ``adapter``."""
+    adapter = adapter or CANONICAL_TRACE
+    if adapter.time_format == "seconds":
+        seconds = finite_float
+    else:
+        seconds = _seconds_since_first(adapter.time_format)
+    columns = {adapter.time_column: seconds, adapter.power_column: finite_float}
     times: list[float] = []
     watts: list[float] = []
-    t0: datetime | None = None
-    for row_index, row in enumerate(reader, start=2):
-        raw_t, raw_p = row[time_col], row[power_col]
-        try:
-            if adapter is None or adapter.time_format == "seconds":
-                t = float(raw_t)
-            else:
-                stamp = datetime.strptime(raw_t.strip(), adapter.time_format)
-                if t0 is None:
-                    t0 = stamp
-                t = (stamp - t0).total_seconds()
-            p = float(raw_p)
-        except (TypeError, ValueError):
-            raise TraceError(f"row {row_index}: cannot parse sample "
-                             f"({raw_t!r}, {raw_p!r})") from None
-        times.append(t)
-        watts.append(p)
+    try:
+        for t, p in read_table(source, columns):
+            times.append(t)
+            watts.append(p)
+    except ParseError as e:
+        raise TraceError(str(e)) from None
     return PowerTrace(tuple(times), tuple(watts))
 
 
 def read_power_trace(path, adapter: ColumnAdapter | None = None) -> PowerTrace:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_power_trace(fh.read(), adapter)
+    return read_document(path, lambda fh: parse_power_trace(fh, adapter))
 
 
 def trimmed_mean(samples: Sequence[float], k: int = 5) -> float:
@@ -191,19 +231,8 @@ def write_energy_samples(samples: Iterable[EnergySample]) -> str:
 
 
 def read_energy_samples(text: str) -> list[EnergySample]:
-    reader = csv.DictReader(io.StringIO(text))
-    expected = ["model_id", "run_id", "joules"]
-    if reader.fieldnames != expected:
-        raise ParseError(f"energy sample file must have header "
-                         f"{','.join(expected)}")
-    samples = []
-    for row_index, row in enumerate(reader, start=2):
-        try:
-            samples.append(EnergySample(row["model_id"], row["run_id"],
-                                        float(row["joules"])))
-        except (TypeError, ValueError):
-            raise ParseError(f"row {row_index}: cannot parse energy sample") from None
-    return samples
+    columns = {"model_id": str, "run_id": str, "joules": finite_float}
+    return [EnergySample(*row) for row in read_table(text, columns)]
 
 
 @dataclass(frozen=True)
@@ -249,10 +278,6 @@ def fit(points: Sequence[tuple[float, float]]) -> LinearModel:
                        r_squared=r_squared, n_points=len(points))
 
 
-def predict(model: LinearModel, tos: float) -> float:
-    return model.predict(tos)
-
-
 def write_linear_model(model: LinearModel) -> str:
     doc = {
         "intercept_j": model.intercept,
@@ -264,24 +289,19 @@ def write_linear_model(model: LinearModel) -> str:
 
 
 def read_linear_model(text: str) -> LinearModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("fitted model: expected an object")
+    doc = parse_json_object(text, "fitted model")
     keys = {"intercept_j", "slope_j_per_to", "r_squared", "n_points"}
-    unknown = sorted(set(doc) - keys)
-    if unknown:
-        raise ParseError(f"fitted model: unknown key(s) {', '.join(unknown)}")
-    missing = sorted(keys - set(doc))
-    if missing:
-        raise ParseError(f"fitted model: missing key(s) {', '.join(missing)}")
+    check_keys(doc, keys, keys, "fitted model")
     try:
-        return LinearModel(float(doc["intercept_j"]), float(doc["slope_j_per_to"]),
-                           float(doc["r_squared"]), int(doc["n_points"]))
-    except (TypeError, ValueError) as e:
+        return LinearModel(*(as_number(doc[key], key) for key in
+                             ("intercept_j", "slope_j_per_to", "r_squared")),
+                           as_count(doc["n_points"], "n_points"))
+    except ValueError as e:
         raise ParseError(f"fitted model: {e}") from None
+
+
+def load_linear_model(path) -> LinearModel:
+    return read_document(path, lambda fh: read_linear_model(fh.read()))
 
 
 @dataclass(frozen=True)
@@ -330,6 +350,8 @@ def tradeoff_select(candidates: Sequence[tuple[str, float, float]],
     best_id, best_score = None, None
     for model_id, energy, loss in candidates:
         score = alpha * float(energy) + (1.0 - alpha) * float(loss)
+        if not math.isfinite(score):
+            raise ValueError(f"candidate {model_id!r}: score is not finite")
         if best_score is None or score < best_score:
             best_id, best_score = model_id, score
     return best_id

@@ -14,29 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import AnalysisLevel, Convolutional, FullyConnected, LayerSpec, ModelSpec
-from .basic_ops import UnsupportedError
+from .model import AnalysisLevel, LayerSpec, ModelSpec
 
 
 @dataclass(frozen=True)
 class FlopsCount:
     macs: int
 
-    def __post_init__(self) -> None:
-        if self.macs < 0:
-            raise ValueError("MAC count must be non-negative")
-
     @property
     def flops(self) -> int:
         return 2 * self.macs
-
-    def __add__(self, other: "FlopsCount") -> "FlopsCount":
-        return FlopsCount(self.macs + other.macs)
-
-    def __mul__(self, factor: int) -> "FlopsCount":
-        return FlopsCount(self.macs * factor)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -54,25 +41,17 @@ class FlopsReport:
 
 def flops_forward(layer: LayerSpec) -> FlopsCount:
     """Forward MACs for one layer; activation contributes zero."""
-    if isinstance(layer, FullyConnected):
-        return FlopsCount(layer.inputs * layer.outputs)
-    if isinstance(layer, Convolutional):
-        return FlopsCount(layer.out_width ** 2 * layer.out_channels
-                          * layer.in_channels * layer.kernel ** 2)
-    raise UnsupportedError(f"unknown layer kind: {layer!r}")
+    return FlopsCount(layer.macs)
 
 
 def flops_model(model: ModelSpec, level: AnalysisLevel) -> FlopsReport:
     """Sum the baseline over all layers and scale it to a full run."""
-    forward = FlopsCount(0)
-    for layer in model.layers:
-        forward = forward + flops_forward(layer)
-    per_instance = forward * 3 if level.includes_backprop else forward
-    instances = model.dataset_len * model.epochs
-    steps = model.steps_per_epoch * model.epochs
+    macs = sum(layer.macs for layer in model.layers)
+    if level.includes_backprop:
+        macs *= 3
     return FlopsReport(
-        per_instance=per_instance,
-        per_run=per_instance * instances,
-        instances_per_run=instances,
-        steps_per_run=steps,
+        per_instance=FlopsCount(macs),
+        per_run=FlopsCount(macs * model.instances_per_run),
+        instances_per_run=model.instances_per_run,
+        steps_per_run=model.steps_per_run,
     )

@@ -15,11 +15,15 @@ threads.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Sequence
+from typing import IO, Any, Callable, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 class ParseError(ValueError):
@@ -105,6 +109,11 @@ class FullyConnected:
     def output_units(self) -> int:
         return self.outputs
 
+    @property
+    def macs(self) -> int:
+        """Multiply-accumulates of one forward pass over one instance."""
+        return self.inputs * self.outputs
+
 
 @dataclass(frozen=True)
 class Convolutional:
@@ -124,6 +133,12 @@ class Convolutional:
     @property
     def output_units(self) -> int:
         return self.out_width * self.out_width * self.out_channels
+
+    @property
+    def macs(self) -> int:
+        """Multiply-accumulates of one forward pass over one instance."""
+        return (self.out_width ** 2 * self.out_channels
+                * self.in_channels * self.kernel ** 2)
 
 
 LayerSpec = FullyConnected | Convolutional
@@ -174,6 +189,16 @@ class ModelSpec:
         return math.ceil(self.dataset_len / self.batch_size)
 
     @property
+    def instances_per_run(self) -> int:
+        """Data instances one run processes: dataset_len * epochs."""
+        return self.dataset_len * self.epochs
+
+    @property
+    def steps_per_run(self) -> int:
+        """Optimizer steps in one run: steps_per_epoch * epochs."""
+        return self.steps_per_epoch * self.epochs
+
+    @property
     def output_layer(self) -> LayerSpec:
         return self.layers[-1]
 
@@ -181,7 +206,8 @@ class ModelSpec:
         return replace(self, float_format=fmt)
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+def check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+    """Reject keys outside ``allowed`` and report any of ``required`` missing."""
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ParseError(f"{where}: unknown key(s) {', '.join(unknown)}")
@@ -190,12 +216,44 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
         raise ParseError(f"{where}: missing key(s) {', '.join(missing)}")
 
 
-def _as_count(value: Any, where: str) -> int:
+def as_count(value: Any, where: str) -> int:
+    """A JSON integer >= 1; bools and fractional numbers are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{where}: expected an integer, got {value!r}")
     if value < 1:
         raise ParseError(f"{where}: must be >= 1, got {value}")
     return value
+
+
+def as_number(value: Any, where: str) -> float:
+    """A finite JSON number as a float; bools, NaN and infinities are rejected."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ParseError(f"{where}: expected a finite number, got {value!r}")
+
+
+def parse_json_object(text: str, where: str) -> dict:
+    """Decode a JSON document whose root must be an object."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected an object")
+    return doc
+
+
+def read_document(path, parse: Callable[[IO[str]], T]) -> T:
+    """Open the input file at ``path`` and parse it with ``parse``; any
+    input error is re-raised with the file path in front."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            return parse(fh)
+        except (ParseError, ValidationError) as e:
+            raise type(e)(f"{path}: {e}") from None
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise ParseError(f"{path}: {e}") from None
 
 
 def _as_activation(value: Any, where: str) -> Activation:
@@ -212,21 +270,21 @@ def _parse_layer(obj: Any, index: int) -> LayerSpec:
         raise ParseError(f"{where}: expected an object")
     kind = obj.get("kind")
     if kind == "fully_connected":
-        _check_keys(obj, {"kind", "inputs", "outputs", "activation"},
+        check_keys(obj, {"kind", "inputs", "outputs", "activation"},
                     {"kind", "inputs", "outputs", "activation"}, where)
         return FullyConnected(
-            inputs=_as_count(obj["inputs"], f"{where}.inputs"),
-            outputs=_as_count(obj["outputs"], f"{where}.outputs"),
+            inputs=as_count(obj["inputs"], f"{where}.inputs"),
+            outputs=as_count(obj["outputs"], f"{where}.outputs"),
             activation=_as_activation(obj["activation"], f"{where}.activation"),
         )
     if kind == "convolutional":
-        _check_keys(obj, {"kind", "out_width", "kernel", "in_channels", "out_channels", "activation"},
+        check_keys(obj, {"kind", "out_width", "kernel", "in_channels", "out_channels", "activation"},
                     {"kind", "out_width", "kernel", "in_channels", "out_channels", "activation"}, where)
         return Convolutional(
-            out_width=_as_count(obj["out_width"], f"{where}.out_width"),
-            kernel=_as_count(obj["kernel"], f"{where}.kernel"),
-            in_channels=_as_count(obj["in_channels"], f"{where}.in_channels"),
-            out_channels=_as_count(obj["out_channels"], f"{where}.out_channels"),
+            out_width=as_count(obj["out_width"], f"{where}.out_width"),
+            kernel=as_count(obj["kernel"], f"{where}.kernel"),
+            in_channels=as_count(obj["in_channels"], f"{where}.in_channels"),
+            out_channels=as_count(obj["out_channels"], f"{where}.out_channels"),
             activation=_as_activation(obj["activation"], f"{where}.activation"),
         )
     raise ParseError(f"{where}.kind: expected 'fully_connected' or 'convolutional', got {kind!r}")
@@ -239,13 +297,8 @@ def parse_model(text: str) -> ModelSpec:
     context) and :class:`ValidationError` for structurally inconsistent
     models, e.g. mismatched layer dimensions.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("document root: expected an object")
-    _check_keys(doc, {"name", "float_format", "loss", "training", "layers"},
+    doc = parse_json_object(text, "document root")
+    check_keys(doc, {"name", "float_format", "loss", "training", "layers"},
                 {"name", "float_format", "loss", "training", "layers"}, "document root")
     name = doc["name"]
     if not isinstance(name, str) or not name:
@@ -261,7 +314,7 @@ def parse_model(text: str) -> ModelSpec:
     training = doc["training"]
     if not isinstance(training, dict):
         raise ParseError("training: expected an object")
-    _check_keys(training, {"dataset_len", "batch_size", "epochs"},
+    check_keys(training, {"dataset_len", "batch_size", "epochs"},
                 {"dataset_len", "batch_size", "epochs"}, "training")
     layers_doc = doc["layers"]
     if not isinstance(layers_doc, list) or not layers_doc:
@@ -272,15 +325,14 @@ def parse_model(text: str) -> ModelSpec:
         float_format=FLOAT_FORMATS[fmt_key],
         layers=layers,
         loss=loss,
-        dataset_len=_as_count(training["dataset_len"], "training.dataset_len"),
-        batch_size=_as_count(training["batch_size"], "training.batch_size"),
-        epochs=_as_count(training["epochs"], "training.epochs"),
+        dataset_len=as_count(training["dataset_len"], "training.dataset_len"),
+        batch_size=as_count(training["batch_size"], "training.batch_size"),
+        epochs=as_count(training["epochs"], "training.epochs"),
     )
 
 
 def parse_model_file(path) -> ModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    return read_document(path, lambda fh: parse_model(fh.read()))
 
 
 def _layer_to_doc(layer: LayerSpec) -> dict:

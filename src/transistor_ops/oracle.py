@@ -212,14 +212,14 @@ class TrainingStepTally:
 
     @property
     def backprop(self) -> BasicOpCounts:
-        total = BasicOpCounts.zero()
+        total = BasicOpCounts()
         for counts in self.backprop_layers:
             total = total + counts
         return total
 
     @property
     def update(self) -> BasicOpCounts:
-        total = BasicOpCounts.zero()
+        total = BasicOpCounts()
         for counts in self.update_layers:
             total = total + counts
         return total

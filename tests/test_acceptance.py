@@ -124,7 +124,7 @@ def test_03_oracle_equivalence_on_random_models():
             targets = [rng.uniform(0.1, 0.9) for _ in range(dims[-1])]
             tally = run_training_step(model, inputs, targets, weights=weights)
             report = count_model(model, AnalysisLevel.TRAINING)
-            forward = BasicOpCounts.zero()
+            forward = BasicOpCounts()
             for profile in report.layers:
                 forward = forward + profile.forward
             assert tally.forward == forward

@@ -34,7 +34,7 @@ class TestBasicOpCounts:
 
     def test_integer_scaling(self):
         assert (BasicOpCounts(1, 1, 2, 1, 1) * 3).as_tuple() == (3, 3, 6, 3, 3)
-        assert 0 * BasicOpCounts(5, 5, 5, 5, 5) == BasicOpCounts.zero()
+        assert 0 * BasicOpCounts(5, 5, 5, 5, 5) == BasicOpCounts()
 
     def test_rejects_negative_or_non_integer(self):
         with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ class TestActivationCounts:
         assert count_activation(act, units).as_tuple() == expected
 
     def test_zero_units(self):
-        assert count_activation(Activation.GELU, 0) == BasicOpCounts.zero()
+        assert count_activation(Activation.GELU, 0) == BasicOpCounts()
 
     def test_negative_units_rejected(self):
         with pytest.raises(ValueError):
@@ -166,7 +166,7 @@ class TestCountModel:
 
     def test_totals_are_sums_of_layer_profiles(self, width4_dnn):
         report = count_model(width4_dnn, AnalysisLevel.TRAINING)
-        total = BasicOpCounts.zero()
+        total = BasicOpCounts()
         for profile in report.layers:
             total = total + profile.forward + profile.backprop
         total = total + report.loss
@@ -183,7 +183,7 @@ class TestCountModel:
 
     def test_inference_run_scaling_has_no_updates(self, width4_dnn):
         report = count_model(width4_dnn, AnalysisLevel.INFERENCE)
-        assert report.update_per_batch == BasicOpCounts.zero()
+        assert report.update_per_batch == BasicOpCounts()
         assert report.per_run == report.per_instance * (1372 * 2000)
 
     def test_training_rejects_convolutional_layers(self):

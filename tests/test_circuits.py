@@ -91,7 +91,7 @@ class TestLowering:
         assert tos_from_bos(BasicOpCounts(n_add=1, n_mul=1), FP32) == 12_972.25
 
     def test_zero_census_costs_nothing(self):
-        assert tos_from_bos(BasicOpCounts.zero(), FP16) == 0.0
+        assert tos_from_bos(BasicOpCounts(), FP16) == 0.0
 
     def test_single_div_equals_its_op_cost(self):
         assert tos_from_bos(BasicOpCounts(n_div=1), FP32) == fp_op_tos(OpKind.DIV, FP32)

@@ -352,3 +352,75 @@ class TestOracleCommand:
         for profile in report.layers:
             total = [a + b for a, b in zip(total, profile.forward.as_tuple())]
         assert [int(v) for v in forward[1:]] == total
+
+
+FITTED = '{"intercept_j": 1.0, "slope_j_per_to": 1.0, "r_squared": 1.0, "n_points": 2}'
+
+# name -> (files to write, argv with {file names} filled in, the file the
+# error must name, where in that file the bad value sits)
+BAD_INPUTS = {
+    "nan-trace": ({"nan__r0.csv": "elapsed_s,power_w\n0.0,10.0\n0.5,11.0\n1.0,nan\n"},
+                  ["ingest", "{nan__r0.csv}", "--trim-k", "0"], "nan__r0.csv", "row 4"),
+    "inf-trace": ({"inf__r0.csv": "elapsed_s,power_w\n0.0,10.0\n-inf,11.0\n1.0,9.0\n"},
+                  ["ingest", "{inf__r0.csv}", "--trim-k", "0"], "inf__r0.csv", "row 3"),
+    "nan-cost-table": ({"nan_table.json": '{"fa": NaN}'},
+                       ["tos", "{model.json}", "--cost-table", "{nan_table.json}"],
+                       "nan_table.json", "fa"),
+    "bool-cost-table": ({"bool_table.json": '{"ha": 5, "fa": true}'},
+                        ["tos", "{model.json}", "--cost-table", "{bool_table.json}"],
+                        "bool_table.json", "fa"),
+    "fractional-newton-iterations": (
+        {"frac_table.json": '{"newton_iterations": 2.7}'},
+        ["tos", "{model.json}", "--cost-table", "{frac_table.json}"],
+        "frac_table.json", "newton_iterations"),
+    "fractional-mult-ref-bits": (
+        {"bits_table.json": '{"mult_ref_bits": 64.9}'},
+        ["tos", "{model.json}", "--cost-table", "{bits_table.json}"],
+        "bits_table.json", "mult_ref_bits"),
+    "fractional-n-points": (
+        {"frac_fit.json": FITTED.replace('"n_points": 2', '"n_points": 3.9'),
+         "tos.csv": "model_id,tos\na,1.0\n"},
+        ["estimate", "--tos-file", "{tos.csv}", "--fitted", "{frac_fit.json}"],
+        "frac_fit.json", "n_points"),
+    "nan-fit-pair": ({"nan_pairs.csv": "tos,joules\n1000,2500.0\n2000,nan\n3000,2700.0\n"},
+                     ["fit", "{nan_pairs.csv}"], "nan_pairs.csv", "row 3"),
+    "inf-tos-file": ({"fitted.json": FITTED, "inf_tos.csv": "model_id,tos\na,1.0\nb,inf\n"},
+                     ["estimate", "--tos-file", "{inf_tos.csv}", "--fitted", "{fitted.json}"],
+                     "inf_tos.csv", "row 3"),
+    "duplicate-prediction-id": (
+        {"dup.csv": "model_id,predicted_j\na,100\nb,200\na,999\n",
+         "flops.csv": "model_id,predicted_j\na,100\nb,200\n",
+         "actual.csv": "model_id,joules\na,110\nb,190\n"},
+        ["compare", "{dup.csv}", "{flops.csv}", "{actual.csv}"],
+        "dup.csv", "model_id 'a'"),
+    "nan-tradeoff-candidate": (
+        {"cands.csv": "model_id,energy_j,loss\nbad,nan,0.1\ngood,100.0,0.2\n"},
+        ["tradeoff", "{cands.csv}", "--alpha", "0.5"], "cands.csv", "row 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_naming_file_and_place(name, capsys, tmp_path):
+    files, argv, bad_file, place = BAD_INPUTS[name]
+    paths = {"model.json": write_model_doc(tmp_path / "model.json", model_doc([4, 4, 1]))}
+    for file_name, text in files.items():
+        (tmp_path / file_name).write_text(text)
+        paths[file_name] = str(tmp_path / file_name)
+    code = main([paths[a[1:-1]] if a.startswith("{") else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert bad_file in captured.err and place in captured.err, captured.err
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"elapsed_s,power_w\n0.0,1\n1.0,\xff2\n", "can't decode"),
+    (b'elapsed_s,power_w\n0,"' + b"x" * 200_000 + b'"\n', "field limit"),
+])
+def test_unreadable_trace_exits_2_naming_file(content, message, capsys, tmp_path):
+    path = tmp_path / "raw__r0.csv"
+    path.write_bytes(content)
+    code = main(["ingest", str(path), "--trim-k", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "raw__r0.csv" in err and message in err, err

@@ -16,15 +16,16 @@ from transistor_ops import (
     error_metrics,
     fit,
     integrate_power,
-    predict,
     tradeoff_select,
     trimmed_mean,
 )
 from transistor_ops.energy import (
+    finite_float,
     parse_adapter,
     parse_power_trace,
     read_energy_samples,
     read_linear_model,
+    read_table,
     write_energy_samples,
     write_linear_model,
 )
@@ -54,6 +55,17 @@ class TestIntegration:
     def test_negative_power_names_the_index(self):
         with pytest.raises(TraceError, match="index 1"):
             PowerTrace((0.0, 1.0), (1.0, -0.1))
+
+    @pytest.mark.parametrize("times,watts", [
+        ((0.0, math.nan, 2.0), (1.0, 1.0, 1.0)),
+        ((0.0, 1.0, 2.0), (1.0, 1.0, math.inf)),
+        ((0.0, 1.0, math.inf), (1.0, 1.0, 1.0)),
+        ((0.0, 1.0, 2.0), (1.0, 1.0, math.nan)),
+    ])
+    def test_non_finite_sample_names_the_index(self, times, watts):
+        bad = next(i for i in range(3) if not math.isfinite(times[i] + watts[i]))
+        with pytest.raises(TraceError, match=f"index {bad}"):
+            PowerTrace(times, watts)
 
     def test_random_polylines_match_segmentwise_quadrature(self):
         rng = random.Random(17)
@@ -144,16 +156,16 @@ class TestFit:
 class TestPredict:
     def test_intercept_at_zero_workload(self):
         model = LinearModel(2393.0, 9.605e-6, 1.0, 2)
-        assert predict(model, 0.0) == 2393.0
+        assert model.predict(0.0) == 2393.0
 
     def test_reference_point(self):
         model = LinearModel(2393.0, 9.605e-6, 1.0, 2)
-        assert predict(model, 1e9) == pytest.approx(11998.0, rel=1e-12)
+        assert model.predict(1e9) == pytest.approx(11998.0, rel=1e-12)
 
     def test_identity_model(self):
         model = LinearModel(0.0, 1.0, 1.0, 2)
         for x in (0.0, 17.5, 3e8):
-            assert predict(model, x) == x
+            assert model.predict(x) == x
 
 
 class TestErrorMetrics:
@@ -218,6 +230,40 @@ class TestTradeoff:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             tradeoff_select(self.CANDIDATES, 1.5)
+
+    @pytest.mark.parametrize("first", [math.nan, math.inf])
+    def test_non_finite_score_rejected(self, first):
+        with pytest.raises(ValueError, match="bad"):
+            tradeoff_select([("bad", first, 0.1), ("good", 100.0, 0.2)], 0.5)
+
+
+class TestReadTable:
+    COLUMNS = {"model_id": str, "joules": finite_float}
+
+    def test_extra_columns_ignored_and_order_follows_columns(self):
+        rows = read_table("joules,note,model_id\n1.5,x,a\n2,y,b\n", self.COLUMNS)
+        assert list(rows) == [("a", 1.5), ("b", 2.0)]
+
+    def test_blank_lines_skipped_and_rows_keep_line_numbers(self):
+        text = "model_id,joules\na,1\n\nb,2\n\nc,oops\n"
+        rows = read_table(text, self.COLUMNS)
+        assert next(rows) == ("a", 1.0)
+        assert next(rows) == ("b", 2.0)
+        with pytest.raises(ParseError, match="row 6"):
+            next(rows)
+
+    def test_missing_column_named(self):
+        with pytest.raises(ParseError, match="joules"):
+            list(read_table("model_id,energy\na,1\n", self.COLUMNS))
+
+    def test_short_row_named(self):
+        with pytest.raises(ParseError, match="row 3"):
+            list(read_table("model_id,joules\na,1\nb\n", self.COLUMNS))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_numbers_rejected(self, cell):
+        with pytest.raises(ParseError, match="row 2.*finite"):
+            list(read_table(f"model_id,joules\na,{cell}\n", self.COLUMNS))
 
 
 class TestTraceParsing:

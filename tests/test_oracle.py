@@ -173,7 +173,7 @@ class TestAgreementWithCensus:
             targets = [rng.uniform(0.1, 0.9) for _ in range(dims[-1])]
             tally = run_training_step(m, inputs, targets, weights=weights)
             report = count_model(m, AnalysisLevel.TRAINING)
-            forward = BasicOpCounts.zero()
+            forward = BasicOpCounts()
             for profile in report.layers:
                 forward = forward + profile.forward
             assert tally.forward == forward
