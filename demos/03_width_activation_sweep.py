@@ -3,7 +3,7 @@
 # transistor-operation workload scales while the MAC baseline stays
 # blind to the activation choice.
 
-import numpy as np
+import math
 
 from transistor_ops import (
     Activation,
@@ -54,9 +54,16 @@ print(f"\nwidth {w}: |tanh - gelu| / gelu = "
 # evaluations pin the parabola, a fourth lands on it.
 probe_w = [4.0, 5.0, 6.0]
 probe_y = [totals[(int(w), Activation.SIGMOID)] for w in probe_w]
-coeffs = np.polyfit(probe_w, probe_y, 2)
+
+
+def parabola(x):
+    # Lagrange form of the quadratic through the three probes.
+    return sum(yi * math.prod((x - wj) / (wi - wj) for wj in probe_w if wj != wi)
+               for wi, yi in zip(probe_w, probe_y))
+
+
 for w in (9, 13):
-    predicted = float(np.polyval(coeffs, w))
+    predicted = parabola(w)
     actual = totals[(w, Activation.SIGMOID)]
     print(f"parabola from widths 4..6 predicts width {w:2d}: "
           f"{predicted:12.2f} vs actual {actual:12.2f}")

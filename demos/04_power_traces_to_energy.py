@@ -3,7 +3,8 @@
 # integration of instantaneous power, then a trimmed mean over repeated
 # runs to tame measurement noise.
 
-import numpy as np
+import random
+import statistics
 
 from transistor_ops import (
     ColumnAdapter,
@@ -38,11 +39,11 @@ print("vendor log:", f"{integrate_power(trace):.2f} J over {trace.times[-1]:.0f}
 # Sixty noisy repetitions of the same nominal run: average after
 # dropping the five highest and five lowest readings. Spikes from
 # background activity land in the dropped tails.
-rng = np.random.default_rng(42)
+rng = random.Random(42)
 nominal = 2500.0
-runs = nominal + 25.0 * rng.standard_normal(60)
+runs = [nominal + rng.gauss(0.0, 25.0) for _ in range(60)]
 runs[7] += 400.0    # a background-task spike
 runs[33] -= 350.0   # a throttled run
-print(f"\nraw mean of 60 runs:     {np.mean(runs):10.2f} J")
-print(f"trimmed mean (drop 5+5): {trimmed_mean(runs.tolist(), 5):10.2f} J")
+print(f"\nraw mean of 60 runs:     {statistics.fmean(runs):10.2f} J")
+print(f"trimmed mean (drop 5+5): {trimmed_mean(runs, 5):10.2f} J")
 print(f"nominal:                 {nominal:10.2f} J")

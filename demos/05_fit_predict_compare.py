@@ -4,7 +4,7 @@
 # on the narrow-width sigmoid models, then predict wider models with
 # activations the fit never saw. A MAC-only baseline runs alongside.
 
-import numpy as np
+import random
 
 from transistor_ops import (
     Activation,
@@ -28,7 +28,7 @@ base = ModelSpec("rig-base", FP32,
                  tuple([FullyConnected(4, 4, Activation.SIGMOID)] * 3
                        + [FullyConnected(4, 1, Activation.SIGMOID)]),
                  Loss.MSE, 1372, 64, 2000)
-rng = np.random.default_rng(7)
+rng = random.Random(7)
 
 
 def step_tos(model):
@@ -43,8 +43,8 @@ def step_flops(model):
 def measure(model):
     # 60 runs at 0.5% relative noise, aggregated by the trimmed mean.
     energy = HIDDEN_INTERCEPT + HIDDEN_SLOPE * step_tos(model)
-    runs = energy * (1.0 + 0.005 * rng.standard_normal(60))
-    return trimmed_mean(runs.tolist(), 5)
+    runs = [energy * (1.0 + rng.gauss(0.0, 0.005)) for _ in range(60)]
+    return trimmed_mean(runs, 5)
 
 
 # Fit set: sigmoid models, widths 4..13.

@@ -2,7 +2,7 @@
 # Pick a deployable model by weighing predicted energy against task
 # loss: minimize alpha * energy + (1 - alpha) * loss over candidates.
 
-import numpy as np
+import random
 
 from transistor_ops import (
     Activation,
@@ -26,13 +26,13 @@ base = ModelSpec("pick-base", FP32,
 # workload-to-energy line; losses are a synthetic diminishing-returns
 # curve (wider helps, but less and less).
 lm = LinearModel(intercept=2393.0, slope=9.605e-6, r_squared=1.0, n_points=10)
-rng = np.random.default_rng(3)
+rng = random.Random(3)
 candidates = []
 for member in model_family(base, range(4, 13), [Activation.SIGMOID]):
     width = member.layers[0].outputs
     tos = analyze(member, AnalysisLevel.TRAINING).per_step.total
     energy = lm.predict(tos)
-    loss = 0.05 + 0.8 / width + float(rng.uniform(0, 0.01))
+    loss = 0.05 + 0.8 / width + rng.uniform(0, 0.01)
     candidates.append((member.name, energy, loss))
 
 print(f"{'model':>22s} {'energy (J)':>12s} {'loss':>8s}")

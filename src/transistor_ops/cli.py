@@ -32,7 +32,9 @@ from .circuits import (
 )
 from .energy import (
     ColumnAdapter,
+    DegenerateFitError,
     EnergySample,
+    TraceError,
     error_metrics,
     finite_float,
     fit,
@@ -203,25 +205,35 @@ def cmd_ingest(args) -> int:
     if args.adapter:
         adapter = load_adapter(args.adapter)
     samples = []
+    runs_of: dict[str, list[tuple[str, float]]] = {}
     for path in args.traces:
         model_id, run_id = _trace_identity(path)
         trace = read_power_trace(path, adapter)
-        samples.append(EnergySample(model_id, run_id, integrate_power(trace)))
+        try:
+            joules = integrate_power(trace)
+        except TraceError as e:
+            raise TraceError(f"{path}: {e}") from None
+        samples.append(EnergySample(model_id, run_id, joules))
+        runs_of.setdefault(model_id, []).append((path, joules))
     samples.sort(key=lambda s: (s.model_id, s.run_id))
-    by_model: dict[str, list[float]] = {}
-    for s in samples:
-        by_model.setdefault(s.model_id, []).append(s.joules)
-    aggregated = [
-        EnergySample(model_id, "trimmed_mean", trimmed_mean(values, args.trim_k))
-        for model_id, values in sorted(by_model.items())
-    ]
+    aggregated = []
+    for model_id, runs in sorted(runs_of.items()):
+        paths, values = zip(*runs)
+        try:
+            mean = trimmed_mean(values, args.trim_k)
+        except ValueError as e:
+            raise ValueError(f"{', '.join(paths)}: model {model_id!r}: {e}") from None
+        aggregated.append(EnergySample(model_id, "trimmed_mean", mean))
     _emit(write_energy_samples(samples + aggregated), args.out)
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
     pairs = _read_rows(args.pairs, {"tos": finite_float, "joules": finite_float})
-    model = fit(pairs)
+    try:
+        model = fit(pairs)
+    except DegenerateFitError as e:
+        raise DegenerateFitError(f"{args.pairs}: {e}") from None
     _emit(write_linear_model(model), args.out)
     return EXIT_OK
 

@@ -27,9 +27,9 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import islice
+from operator import add, mul, sub
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .model import (
     ParseError,
@@ -117,11 +117,25 @@ class PowerTrace:
                                  f"violated at sample index {i}")
 
 
+def _sum(terms: Iterable[float]) -> float:
+    """Exactly rounded sum (``math.fsum``); NaN where it overflows."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # ValueError: inf + -inf
+        return math.nan
+
+
 def integrate_power(trace: PowerTrace) -> float:
-    """Energy in joules by the trapezoidal rule."""
-    t = np.asarray(trace.times, dtype=np.float64)
-    p = np.asarray(trace.watts, dtype=np.float64)
-    return float(np.sum(np.diff(t) * (p[:-1] + p[1:]) * 0.5))
+    """Energy in joules by the trapezoidal rule, exactly rounded.
+
+    Raises :class:`TraceError` when the energy overflows a float.
+    """
+    t, p = trace.times, trace.watts
+    dt = map(sub, islice(t, 1, None), t)
+    joules = 0.5 * _sum(map(mul, dt, map(add, p, islice(p, 1, None))))
+    if not math.isfinite(joules):
+        raise TraceError("the energy overflows a float")
+    return joules
 
 
 @dataclass(frozen=True)
@@ -207,7 +221,10 @@ def trimmed_mean(samples: Sequence[float], k: int = 5) -> float:
         raise ValueError(f"need more than {2 * k} samples to trim "
                          f"{k} from each end, got {n}")
     kept = sorted(float(s) for s in samples)[k:n - k]
-    return sum(kept) / len(kept)
+    mean = sum(kept) / len(kept)
+    if not math.isfinite(mean):
+        raise ValueError("the trimmed mean overflows a float")
+    return mean
 
 
 @dataclass(frozen=True)
@@ -230,11 +247,6 @@ def write_energy_samples(samples: Iterable[EnergySample]) -> str:
     return out.getvalue()
 
 
-def read_energy_samples(text: str) -> list[EnergySample]:
-    columns = {"model_id": str, "run_id": str, "joules": finite_float}
-    return [EnergySample(*row) for row in read_table(text, columns)]
-
-
 @dataclass(frozen=True)
 class LinearModel:
     """Affine workload-to-energy map with fit diagnostics."""
@@ -245,6 +257,9 @@ class LinearModel:
     n_points: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.intercept) and math.isfinite(self.slope)):
+            raise ValueError(f"intercept and slope must be finite, got "
+                             f"{self.intercept} and {self.slope}")
         if self.n_points < 2:
             raise ValueError("a linear model needs at least 2 fit points")
         if not 0.0 <= self.r_squared <= 1.0:
@@ -255,27 +270,37 @@ class LinearModel:
 
 
 def fit(points: Sequence[tuple[float, float]]) -> LinearModel:
-    """Closed-form ordinary least squares over (workload, joules) pairs."""
-    if len(points) < 2:
-        raise DegenerateFitError(f"need at least 2 points, got {len(points)}")
-    x = np.asarray([p[0] for p in points], dtype=np.float64)
-    y = np.asarray([p[1] for p in points], dtype=np.float64)
-    x_mean = float(x.mean())
-    y_mean = float(y.mean())
-    sxx = float(np.sum((x - x_mean) ** 2))
+    """Closed-form ordinary least squares over (workload, joules) pairs,
+    with exactly rounded sums.
+
+    Raises :class:`DegenerateFitError` when the points cannot determine a
+    line or a sum overflows a float.
+    """
+    n = len(points)
+    if n < 2:
+        raise DegenerateFitError(f"need at least 2 points, got {n}")
+    xs = [float(x) for x, _ in points]
+    ys = [float(y) for _, y in points]
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"fit points must be finite; violated at index {i}")
+    x_mean = _sum(xs) / n
+    y_mean = _sum(ys) / n
+    dx = [x - x_mean for x in xs]
+    dy = [y - y_mean for y in ys]
+    sxx = _sum(d * d for d in dx)
     if sxx == 0.0:
         raise DegenerateFitError("all workload values are equal; "
                                  "the slope is undetermined")
-    slope = float(np.sum((x - x_mean) * (y - y_mean)) / sxx)
+    slope = _sum(map(mul, dx, dy)) / sxx
     intercept = y_mean - slope * x_mean
-    sst = float(np.sum((y - y_mean) ** 2))
-    if sst == 0.0:
-        r_squared = 1.0
-    else:
-        ssr = float(np.sum((y - (intercept + slope * x)) ** 2))
-        r_squared = min(1.0, max(0.0, 1.0 - ssr / sst))
+    sst = _sum(d * d for d in dy)
+    ssr = _sum(r * r for r in (y - (intercept + slope * x) for x, y in zip(xs, ys)))
+    if not all(map(math.isfinite, (sxx, slope, intercept, sst, ssr))):
+        raise DegenerateFitError("the least-squares sums overflow a float")
+    r_squared = 1.0 if sst == 0.0 else min(1.0, max(0.0, 1.0 - ssr / sst))
     return LinearModel(intercept=intercept, slope=slope,
-                       r_squared=r_squared, n_points=len(points))
+                       r_squared=r_squared, n_points=n)
 
 
 def write_linear_model(model: LinearModel) -> str:
@@ -321,7 +346,10 @@ def error_metrics(predicted: Sequence[float], actual: Sequence[float]) -> ErrorR
                          f"vs {len(actual)} actuals")
     if not predicted:
         raise ValueError("need at least one prediction")
-    for i, a in enumerate(actual):
+    for i, (p, a) in enumerate(zip(predicted, actual)):
+        if not (math.isfinite(p) and math.isfinite(a)):
+            raise ValueError(f"predicted and actual energies must be finite; "
+                             f"violated at index {i}")
         if a <= 0:
             raise ValueError(f"actual energy must be positive; "
                              f"violated at index {i}")

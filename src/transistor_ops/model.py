@@ -198,10 +198,6 @@ class ModelSpec:
         """Optimizer steps in one run: steps_per_epoch * epochs."""
         return self.steps_per_epoch * self.epochs
 
-    @property
-    def output_layer(self) -> LayerSpec:
-        return self.layers[-1]
-
     def with_float_format(self, fmt: FloatFormat) -> "ModelSpec":
         return replace(self, float_format=fmt)
 

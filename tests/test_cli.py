@@ -396,6 +396,19 @@ BAD_INPUTS = {
     "nan-tradeoff-candidate": (
         {"cands.csv": "model_id,energy_j,loss\nbad,nan,0.1\ngood,100.0,0.2\n"},
         ["tradeoff", "{cands.csv}", "--alpha", "0.5"], "cands.csv", "row 2"),
+    "overflowing-trace-energy": (
+        {"big__r0.csv": "elapsed_s,power_w\n0,1e308\n10,1e308\n"},
+        ["ingest", "{big__r0.csv}", "--trim-k", "0"], "big__r0.csv", "energy overflows"),
+    "overflowing-trimmed-mean": (
+        {f"huge__r{i}.csv": "elapsed_s,power_w\n0,0.8e308\n1,0.8e308\n" for i in range(3)},
+        ["ingest", "{huge__r0.csv}", "{huge__r1.csv}", "{huge__r2.csv}", "--trim-k", "0"],
+        "huge__r2.csv", "model 'huge': the trimmed mean overflows"),
+    "overflowing-fit-squares": (
+        {"wide_pairs.csv": "tos,joules\n1e200,1\n2e200,3\n3e200,4\n"},
+        ["fit", "{wide_pairs.csv}"], "wide_pairs.csv", "sums overflow"),
+    "overflowing-fit-spread": (
+        {"spread_pairs.csv": "tos,joules\n1e308,1\n1.5e308,3\n-1e308,4\n"},
+        ["fit", "{spread_pairs.csv}"], "spread_pairs.csv", "sums overflow"),
 }
 
 

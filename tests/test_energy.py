@@ -23,7 +23,6 @@ from transistor_ops.energy import (
     finite_float,
     parse_adapter,
     parse_power_trace,
-    read_energy_samples,
     read_linear_model,
     read_table,
     write_energy_samples,
@@ -67,6 +66,15 @@ class TestIntegration:
         with pytest.raises(TraceError, match=f"index {bad}"):
             PowerTrace(times, watts)
 
+    @pytest.mark.parametrize("times,watts", [
+        ((0.0, 10.0), (1e308, 1e308)),
+        ((0.0, 1.0, 2.0, 3.0), (0.9e308, 0.9e308, 0.9e308, 0.9e308)),
+        ((-1e308, 1e308), (1.0, 1.0)),
+    ])
+    def test_overflowing_energy_rejected(self, times, watts):
+        with pytest.raises(TraceError, match="overflows"):
+            integrate_power(PowerTrace(times, watts))
+
     def test_random_polylines_match_segmentwise_quadrature(self):
         rng = random.Random(17)
         for _ in range(20):
@@ -81,6 +89,7 @@ class TestIntegration:
                 (times[i + 1] - times[i]) * (watts[i] + watts[i + 1]) / 2.0
                 for i in range(n - 1)
             )
+            assert integrate_power(trace) == want
             assert integrate_power(trace) == pytest.approx(want, rel=1e-12)
             assert integrate_power(trace) == pytest.approx(
                 float(np.trapezoid(watts, times)), rel=1e-12)
@@ -99,6 +108,11 @@ class TestTrimmedMean:
     def test_requires_more_than_2k(self):
         with pytest.raises(ValueError):
             trimmed_mean([1.0] * 10, k=5)
+
+    @pytest.mark.parametrize("samples", [[0.8e308] * 3, [1.0, math.inf, 2.0]])
+    def test_non_finite_mean_rejected(self, samples):
+        with pytest.raises(ValueError, match="overflows"):
+            trimmed_mean(samples, k=0)
 
     def test_k_zero_is_the_plain_mean(self):
         values = [3.0, 1.0, 2.0]
@@ -136,6 +150,23 @@ class TestFit:
         with pytest.raises(DegenerateFitError):
             fit([(1.0, 1.0)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_names_the_index(self, bad):
+        with pytest.raises(ValueError, match="index 1"):
+            fit([(1.0, 2.0), (bad, 3.0), (3.0, 4.0)])
+        with pytest.raises(ValueError, match="index 0"):
+            fit([(1.0, bad), (2.0, 3.0), (3.0, 4.0)])
+
+    @pytest.mark.parametrize("points", [
+        [(1e200, 1.0), (2e200, 3.0), (3e200, 4.0)],
+        [(1e308, 1.0), (1.5e308, 3.0), (-1e308, 4.0)],
+        [(1.0, 1e200), (2.0, 3e200), (3.0, -1e200)],
+        [(1.0, 1e308), (2.0, -1e308), (3.0, 1e308)],
+    ])
+    def test_overflow_is_degenerate(self, points):
+        with pytest.raises(DegenerateFitError, match="overflow"):
+            fit(points)
+
     def test_residuals_orthogonal_to_workload(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(1e6, 5e7, size=40)
@@ -154,6 +185,12 @@ class TestFit:
 
 
 class TestPredict:
+    @pytest.mark.parametrize("intercept,slope", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)])
+    def test_non_finite_coefficients_rejected(self, intercept, slope):
+        with pytest.raises(ValueError, match="finite"):
+            LinearModel(intercept, slope, 1.0, 2)
+
     def test_intercept_at_zero_workload(self):
         model = LinearModel(2393.0, 9.605e-6, 1.0, 2)
         assert model.predict(0.0) == 2393.0
@@ -190,6 +227,16 @@ class TestErrorMetrics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             error_metrics([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("predicted,actual", [
+        ([1.0, math.nan], [1.0, 2.0]),
+        ([1.0, 2.0], [1.0, math.nan]),
+        ([1.0, math.inf], [1.0, 2.0]),
+        ([1.0, 2.0], [1.0, math.inf]),
+    ])
+    def test_non_finite_values_name_the_index(self, predicted, actual):
+        with pytest.raises(ValueError, match="finite; violated at index 1"):
+            error_metrics(predicted, actual)
 
     def test_nonpositive_actual_rejected(self):
         with pytest.raises(ValueError, match="index 1"):
@@ -299,14 +346,16 @@ class TestTraceParsing:
 
 
 class TestSampleFiles:
+    COLUMNS = {"model_id": str, "run_id": str, "joules": finite_float}
+
     def test_round_trip(self):
         samples = [EnergySample("m1", "r0", 12.5), EnergySample("m1", "r1", 13.0)]
         text = write_energy_samples(samples)
-        assert read_energy_samples(text) == samples
+        assert [EnergySample(*row) for row in read_table(text, self.COLUMNS)] == samples
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
-            read_energy_samples("model,run,J\nm,r,1\n")
+            list(read_table("model,run,J\nm,r,1\n", self.COLUMNS))
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
