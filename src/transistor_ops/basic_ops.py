@@ -19,6 +19,11 @@ accumulation, and the input-delta pass for every layer but the first.
 Parameter updates are a separate per-batch census (one multiply and one
 subtract per parameter).
 
+Each closed form is written once, as a function on plain
+``(add, sub, mul, div, root)`` int tuples; :func:`census` walks a model's
+layers with them and feeds both :func:`count_model` and
+:func:`transistor_ops.circuits.analyze`. :class:`BasicOpCounts` is built
+only at the public boundary, where it validates values given from outside.
 All functions are pure; counts are value-independent and validated
 against the instrumented scalar executor in :mod:`transistor_ops.oracle`.
 """
@@ -26,6 +31,7 @@ against the instrumented scalar executor in :mod:`transistor_ops.oracle`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .model import (
     Activation,
@@ -59,26 +65,14 @@ class BasicOpCounts:
                 raise ValueError(f"{name} must be non-negative, got {value}")
 
     def __add__(self, other: "BasicOpCounts") -> "BasicOpCounts":
-        return BasicOpCounts(
-            self.n_add + other.n_add,
-            self.n_sub + other.n_sub,
-            self.n_mul + other.n_mul,
-            self.n_div + other.n_div,
-            self.n_root + other.n_root,
-        )
+        return BasicOpCounts(*_total((self.as_tuple(), other.as_tuple())))
 
     def __mul__(self, factor: int) -> "BasicOpCounts":
         if isinstance(factor, bool) or not isinstance(factor, int):
             raise ValueError(f"scale factor must be an int, got {factor!r}")
         if factor < 0:
             raise ValueError(f"scale factor must be non-negative, got {factor}")
-        return BasicOpCounts(
-            self.n_add * factor,
-            self.n_sub * factor,
-            self.n_mul * factor,
-            self.n_div * factor,
-            self.n_root * factor,
-        )
+        return BasicOpCounts(*_scaled(self.as_tuple(), factor))
 
     __rmul__ = __mul__
 
@@ -86,12 +80,15 @@ class BasicOpCounts:
         return (self.n_add, self.n_sub, self.n_mul, self.n_div, self.n_root)
 
 
-# Forward ops per activated unit.
-_ACT_FORWARD = {
-    Activation.NONE: BasicOpCounts(),
-    Activation.SIGMOID: BasicOpCounts(n_add=1, n_sub=1, n_div=1, n_root=1),
-    Activation.GELU: BasicOpCounts(n_add=1, n_sub=1, n_mul=2, n_div=1, n_root=1),
-    Activation.TANH: BasicOpCounts(n_add=1, n_sub=2, n_mul=2, n_div=1, n_root=1),
+Counts = tuple[int, int, int, int, int]
+_ZERO: Counts = (0, 0, 0, 0, 0)
+
+# Forward ops per activated unit, as (add, sub, mul, div, root).
+_ACT_FORWARD: dict[Activation, Counts] = {
+    Activation.NONE: _ZERO,
+    Activation.SIGMOID: (1, 1, 0, 1, 1),
+    Activation.GELU: (1, 1, 2, 1, 1),
+    Activation.TANH: (1, 2, 2, 1, 1),
 }
 
 # Backprop ops per unit: delta-scale multiply plus derivative construction.
@@ -100,81 +97,126 @@ _ACT_FORWARD = {
 #   tanh:    t' = 1 - y^2                                 -> 1 sub, 2 mul
 #   gelu:    g' = s + u s (1 - s), s and u rebuilt from
 #            the stored forward values                    -> 2 sub, 5 mul, 1 div, 1 root
-_ACT_BACKWARD = {
-    Activation.NONE: BasicOpCounts(n_mul=1),
-    Activation.SIGMOID: BasicOpCounts(n_sub=1, n_mul=2),
-    Activation.TANH: BasicOpCounts(n_sub=1, n_mul=2),
-    Activation.GELU: BasicOpCounts(n_sub=2, n_mul=5, n_div=1, n_root=1),
+_ACT_BACKWARD: dict[Activation, Counts] = {
+    Activation.NONE: (0, 0, 1, 0, 0),
+    Activation.SIGMOID: (0, 1, 2, 0, 0),
+    Activation.TANH: (0, 1, 2, 0, 0),
+    Activation.GELU: (0, 2, 5, 1, 1),
 }
+
+
+def _scaled(counts: Counts, factor: int) -> Counts:
+    a, s, m, d, r = counts
+    return (a * factor, s * factor, m * factor, d * factor, r * factor)
+
+
+def _total(vectors: Iterable[Counts]) -> Counts:
+    """Componentwise sum of a non-empty sequence of census vectors."""
+    return tuple(map(sum, zip(*vectors)))
+
+
+def scale_to_run(per_instance: Counts, update_per_batch: Counts,
+                 model: ModelSpec) -> Counts:
+    """Scale a per-instance census to one run: dataset_len * epochs
+    instances plus the per-batch update census times every optimizer step."""
+    instances, steps = model.instances_per_run, model.steps_per_run
+    return tuple(n * instances + u * steps for n, u in zip(per_instance, update_per_batch))
+
+
+def _forward(layer: LayerSpec) -> tuple[Counts, Counts]:
+    """Per-instance forward census and its activation part. Each output
+    accumulates its products and adds the bias, so adds == muls."""
+    a, s, m, d, r = act = _scaled(_ACT_FORWARD[layer.activation], layer.output_units)
+    macs = layer.macs
+    return (a + macs, s, m + macs, d, r), act
+
+
+def _backprop(layer: FullyConnected, is_first_layer: bool) -> tuple[Counts, Counts]:
+    """Per-instance backprop census and its activation-derivative part.
+
+    The linear part covers weight-gradient accumulation (I*O mul + I*O
+    add), bias-gradient accumulation (O add) and, unless this is the
+    first layer, the input-delta pass (I*O mul + I*(O-1) add).
+    """
+    i, o = layer.inputs, layer.outputs
+    a, s, m, d, r = derivative = _scaled(_ACT_BACKWARD[layer.activation], o)
+    deltas = 0 if is_first_layer else i  # fan-in of the input-delta pass
+    return (a + i * o + o + deltas * (o - 1), s, m + i * o + deltas * o, d, r), derivative
+
+
+def _update(layer: FullyConnected) -> Counts:
+    """Per-batch-step SGD update: each parameter costs one multiply
+    (learning rate) and one subtract."""
+    params = layer.inputs * layer.outputs + layer.outputs
+    return (0, params, params, 0, 0)
+
+
+def _loss(output_layer: LayerSpec, loss: Loss) -> Counts:
+    """MSE over O outputs: O subtractions, O squarings, O-1 accumulation
+    adds and one division for the mean."""
+    if loss is not Loss.MSE:
+        raise UnsupportedError(f"unsupported loss kind: {loss!r}")
+    units = output_layer.output_units
+    return (units - 1, units, units, 1, 0)
 
 
 def count_activation(act: Activation, units: int) -> BasicOpCounts:
     """Forward activation ops for ``units`` activated values."""
     if units < 0:
         raise ValueError(f"units must be non-negative, got {units}")
-    return _ACT_FORWARD[act] * units
-
-
-def count_forward_parts(layer: LayerSpec) -> tuple[BasicOpCounts, BasicOpCounts]:
-    """Forward census split into (linear multiply-accumulate, activation) parts."""
-    # Each output accumulates its products and adds the bias, so adds == muls.
-    linear = BasicOpCounts(n_add=layer.macs, n_mul=layer.macs)
-    return linear, count_activation(layer.activation, layer.output_units)
+    return BasicOpCounts(*_scaled(_ACT_FORWARD[act], units))
 
 
 def count_forward(layer: LayerSpec) -> BasicOpCounts:
     """Per-instance forward ops for one layer."""
-    linear, act = count_forward_parts(layer)
-    return linear + act
+    return BasicOpCounts(*_forward(layer)[0])
 
 
 def count_loss(output_layer: LayerSpec, loss: Loss) -> BasicOpCounts:
-    """Per-instance loss ops over the output layer's units.
-
-    MSE over O outputs: O subtractions, O squarings, O-1 accumulation
-    adds and one division for the mean.
-    """
-    if loss is not Loss.MSE:
-        raise UnsupportedError(f"unsupported loss kind: {loss!r}")
-    units = output_layer.output_units
-    return BasicOpCounts(n_add=units - 1, n_sub=units, n_mul=units, n_div=1)
-
-
-def count_backprop_parts(layer: LayerSpec,
-                         is_first_layer: bool) -> tuple[BasicOpCounts, BasicOpCounts]:
-    """Backprop census split into (activation-derivative, linear) parts.
-
-    The linear part covers weight-gradient accumulation (I*O mul + I*O
-    add), bias-gradient accumulation (O add) and, unless this is the
-    first layer, the input-delta pass (I*O mul + I*(O-1) add).
-    """
-    if not isinstance(layer, FullyConnected):
-        raise UnsupportedError("backpropagation counting is defined for "
-                               "fully-connected layers only")
-    i, o = layer.inputs, layer.outputs
-    af = _ACT_BACKWARD[layer.activation] * o
-    n_add = i * o + o
-    n_mul = i * o
-    if not is_first_layer:
-        n_add += i * (o - 1)
-        n_mul += i * o
-    return af, BasicOpCounts(n_add=n_add, n_mul=n_mul)
+    """Per-instance loss ops over the output layer's units."""
+    return BasicOpCounts(*_loss(output_layer, loss))
 
 
 def count_backprop(layer: LayerSpec, is_first_layer: bool) -> BasicOpCounts:
     """Per-instance backprop ops for one layer."""
-    af, linear = count_backprop_parts(layer, is_first_layer)
-    return af + linear
+    if not isinstance(layer, FullyConnected):
+        raise UnsupportedError("backpropagation counting is defined for "
+                               "fully-connected layers only")
+    return BasicOpCounts(*_backprop(layer, is_first_layer)[0])
 
 
 def count_update(layer: LayerSpec) -> BasicOpCounts:
-    """Per-batch-step SGD update ops: each parameter costs one multiply
-    (learning rate) and one subtract."""
+    """Per-batch-step SGD update ops for one layer."""
     if not isinstance(layer, FullyConnected):
         raise UnsupportedError("update counting is defined for "
                                "fully-connected layers only")
-    params = layer.inputs * layer.outputs + layer.outputs
-    return BasicOpCounts(n_sub=params, n_mul=params)
+    return BasicOpCounts(*_update(layer))
+
+
+def census(model: ModelSpec, level: AnalysisLevel
+           ) -> tuple[list[tuple[Counts, Counts, Counts]], Counts, Counts, Counts]:
+    """The model's census at ``level`` as int tuples: the per-layer
+    (forward, backprop, update) vectors, the loss, the update total per
+    batch step and the per-instance non-linear aggregate. Phases the
+    level excludes are zero."""
+    training = level.includes_backprop
+    layers, nonlinear = [], []
+    for index, layer in enumerate(model.layers):
+        if training and not isinstance(layer, FullyConnected):
+            raise UnsupportedError(f"training-level analysis requires fully-connected "
+                                   f"layers only; layer {index + 1} is convolutional")
+        forward, act = _forward(layer)
+        nonlinear.append(act)
+        if training:
+            backprop, derivative = _backprop(layer, index == 0)
+            nonlinear.append(derivative)
+            layers.append((forward, backprop, _update(layer)))
+        else:
+            layers.append((forward, _ZERO, _ZERO))
+    loss = _loss(model.layers[-1], model.loss) if level.includes_loss else _ZERO
+    nonlinear.append(loss)
+    update = _total(update for _, _, update in layers)
+    return layers, loss, update, _total(nonlinear)
 
 
 @dataclass(frozen=True)
@@ -212,53 +254,17 @@ class ModelBoReport:
 
 def count_model(model: ModelSpec, level: AnalysisLevel) -> ModelBoReport:
     """Run the census over every layer and aggregate it for ``level``."""
-    if level.includes_backprop:
-        for index, layer in enumerate(model.layers):
-            if not isinstance(layer, FullyConnected):
-                raise UnsupportedError(
-                    f"training-level analysis requires fully-connected layers "
-                    f"only; layer {index + 1} is convolutional"
-                )
-
-    zero = BasicOpCounts()
-    profiles = []
-    per_instance = zero
-    nonlinear = zero
-    update_total = zero
-    for index, layer in enumerate(model.layers):
-        linear_fwd, act_fwd = count_forward_parts(layer)
-        forward = linear_fwd + act_fwd
-        if level.includes_backprop:
-            af_bp, linear_bp = count_backprop_parts(layer, is_first_layer=index == 0)
-            backprop = af_bp + linear_bp
-            update = count_update(layer)
-        else:
-            af_bp = backprop = update = zero
-        profiles.append(LayerBoProfile(forward, backprop, update))
-        per_instance = per_instance + forward + backprop
-        nonlinear = nonlinear + act_fwd + af_bp
-        update_total = update_total + update
-
-    if level.includes_loss:
-        loss = count_loss(model.layers[-1], model.loss)
-        per_instance = per_instance + loss
-        nonlinear = nonlinear + loss
-    else:
-        loss = zero
-
-    instances = model.instances_per_run
-    steps = model.steps_per_run
-    per_run = per_instance * instances + update_total * steps
-    nonlinear_run = nonlinear * instances + update_total * steps
-
+    layers, loss, update, nonlinear = census(model, level)
+    per_instance = _total([phase for layer in layers for phase in layer[:2]] + [loss])
     return ModelBoReport(
-        layers=tuple(profiles),
-        loss=loss,
-        update_per_batch=update_total,
-        per_instance=per_instance,
-        per_run=per_run,
-        nonlinear_per_instance=nonlinear,
-        nonlinear_per_run=nonlinear_run,
-        instances_per_run=instances,
-        steps_per_run=steps,
+        layers=tuple(LayerBoProfile(*(BasicOpCounts(*phase) for phase in layer))
+                     for layer in layers),
+        loss=BasicOpCounts(*loss),
+        update_per_batch=BasicOpCounts(*update),
+        per_instance=BasicOpCounts(*per_instance),
+        per_run=BasicOpCounts(*scale_to_run(per_instance, update, model)),
+        nonlinear_per_instance=BasicOpCounts(*nonlinear),
+        nonlinear_per_run=BasicOpCounts(*scale_to_run(nonlinear, update, model)),
+        instances_per_run=model.instances_per_run,
+        steps_per_run=model.steps_per_run,
     )

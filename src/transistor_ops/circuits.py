@@ -23,8 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from operator import mul
 
-from .basic_ops import BasicOpCounts, ModelBoReport, count_model
+from .basic_ops import BasicOpCounts, census, scale_to_run
 from .model import (
     AnalysisLevel,
     FloatFormat,
@@ -165,6 +167,7 @@ def fp_op_tos(op: OpKind, fmt: FloatFormat,
     raise ValueError(f"unknown op kind: {op!r}")
 
 
+@lru_cache(maxsize=64)
 def fp_cost_vector(fmt: FloatFormat,
                    table: CostTable = DEFAULT_COST_TABLE) -> tuple[float, ...]:
     """Costs for (add, sub, mul, div, root) in census order."""
@@ -172,14 +175,15 @@ def fp_cost_vector(fmt: FloatFormat,
                  (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.ROOT))
 
 
-def _dot(bos: BasicOpCounts, costs: tuple[float, ...]) -> float:
-    return float(sum(n * c for n, c in zip(bos.as_tuple(), costs)))
+def _dot(counts: tuple[int, ...], costs: tuple[float, ...]) -> float:
+    """The n*c products summed left to right from 0, in census order."""
+    return float(sum(map(mul, counts, costs)))
 
 
 def tos_from_bos(bos: BasicOpCounts, fmt: FloatFormat,
                  table: CostTable = DEFAULT_COST_TABLE) -> float:
     """Lower a census vector to transistor operations (linear in the census)."""
-    return _dot(bos, fp_cost_vector(fmt, table))
+    return _dot(bos.as_tuple(), fp_cost_vector(fmt, table))
 
 
 @dataclass(frozen=True)
@@ -226,34 +230,23 @@ class ToProfile:
 def analyze(model: ModelSpec, level: AnalysisLevel,
             table: CostTable = DEFAULT_COST_TABLE) -> ToProfile:
     """Lower the model's census at ``level`` to transistor operations."""
-    report: ModelBoReport = count_model(model, level)
+    layers, loss_counts, update_counts, nonlinear = census(model, level)
     costs = fp_cost_vector(model.float_format, table)
+    instances, steps = model.instances_per_run, model.steps_per_run
 
-    def lower(bos: BasicOpCounts) -> float:
-        return _dot(bos, costs)
+    layer_forward = tuple(_dot(forward, costs) for forward, _, _ in layers)
+    layer_backprop = tuple(_dot(backprop, costs) for _, backprop, _ in layers)
+    update_per_batch = _dot(update_counts, costs)
+    loss = _dot(loss_counts, costs)
 
-    layer_forward = tuple(lower(p.forward) for p in report.layers)
-    layer_backprop = tuple(lower(p.backprop) for p in report.layers)
-    update_per_batch = lower(report.update_per_batch)
-    loss = lower(report.loss)
-
-    per_instance = PhaseTos(
-        forward=sum(layer_forward),
-        backprop=sum(layer_backprop),
-        loss=loss,
-        update=0.0,
-    )
-    per_run = PhaseTos(
-        forward=per_instance.forward * report.instances_per_run,
-        backprop=per_instance.backprop * report.instances_per_run,
-        loss=per_instance.loss * report.instances_per_run,
-        update=update_per_batch * report.steps_per_run,
-    )
-    step = 1.0 / report.steps_per_run
+    per_instance = PhaseTos(sum(layer_forward), sum(layer_backprop), loss)
+    per_run = PhaseTos(per_instance.forward * instances, per_instance.backprop * instances,
+                       per_instance.loss * instances, update_per_batch * steps)
+    step = 1.0 / steps
     per_step = PhaseTos(per_run.forward * step, per_run.backprop * step,
                         per_run.loss * step, per_run.update * step)
 
-    nonlinear_run = lower(report.nonlinear_per_run)
+    nonlinear_run = _dot(scale_to_run(nonlinear, update_counts, model), costs)
     share = nonlinear_run / per_run.total if per_run.total > 0 else 0.0
 
     return ToProfile(
@@ -264,6 +257,6 @@ def analyze(model: ModelSpec, level: AnalysisLevel,
         per_run=per_run,
         per_step=per_step,
         nonlinear_share=share,
-        instances_per_run=report.instances_per_run,
-        steps_per_run=report.steps_per_run,
+        instances_per_run=instances,
+        steps_per_run=steps,
     )

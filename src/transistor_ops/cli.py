@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .basic_ops import BasicOpCounts, UnsupportedError, count_model
@@ -69,7 +71,26 @@ EXIT_UNSUPPORTED = 3
 
 
 def _fmt(value: float, raw: bool) -> str:
-    return repr(float(value)) if raw else format(float(value), ".6g")
+    """The only number formatter: no non-finite value reaches the output."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"the result {value!r} is not finite; it overflows a float")
+    return repr(value) if raw else format(value, ".6g")
+
+
+@contextmanager
+def _naming(path: str, model_id: str):
+    """Put the input file and the model id in front of an overflow or a
+    non-finite result raised while a model's numbers are computed or printed."""
+    try:
+        yield
+    except UnsupportedError:
+        raise
+    except OverflowError:
+        raise OverflowError(f"{path}: model {model_id!r}: "
+                            f"the workload overflows a float") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: model {model_id!r}: {e}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -167,27 +188,28 @@ def cmd_tos(args) -> int:
     model = _load_model(args.model, args.format)
     level = AnalysisLevel(args.level)
     table = _load_table(args.cost_table)
-    profile = analyze(model, level, table)
     raw = args.raw
     rows = [["scope", "quantity", "value"]]
-    for index, value in enumerate(profile.layer_forward, start=1):
-        rows.append(["per_instance", f"layer_{index}_forward", _fmt(value, raw)])
-    if level.includes_backprop:
-        for index, value in enumerate(profile.layer_backprop, start=1):
-            rows.append(["per_instance", f"layer_{index}_backprop", _fmt(value, raw)])
-    rows.append(["per_instance", "forward_total", _fmt(profile.per_instance.forward, raw)])
-    rows.append(["per_instance", "backprop_total", _fmt(profile.per_instance.backprop, raw)])
-    rows.append(["per_instance", "loss", _fmt(profile.per_instance.loss, raw)])
-    rows.append(["per_instance", "total", _fmt(profile.per_instance.total, raw)])
-    rows.append(["per_batch", "update", _fmt(profile.update_per_batch, raw)])
-    for name, value in (("forward_total", profile.per_run.forward),
-                        ("backprop_total", profile.per_run.backprop),
-                        ("loss", profile.per_run.loss),
-                        ("update_total", profile.per_run.update),
-                        ("total", profile.per_run.total)):
-        rows.append(["per_run", name, _fmt(value, raw)])
-    rows.append(["per_step", "total", _fmt(profile.per_step.total, raw)])
-    rows.append(["all", "nonlinear_share", _fmt(profile.nonlinear_share, raw)])
+    with _naming(args.model, model.name):
+        profile = analyze(model, level, table)
+        for index, value in enumerate(profile.layer_forward, start=1):
+            rows.append(["per_instance", f"layer_{index}_forward", _fmt(value, raw)])
+        if level.includes_backprop:
+            for index, value in enumerate(profile.layer_backprop, start=1):
+                rows.append(["per_instance", f"layer_{index}_backprop", _fmt(value, raw)])
+        rows.append(["per_instance", "forward_total", _fmt(profile.per_instance.forward, raw)])
+        rows.append(["per_instance", "backprop_total", _fmt(profile.per_instance.backprop, raw)])
+        rows.append(["per_instance", "loss", _fmt(profile.per_instance.loss, raw)])
+        rows.append(["per_instance", "total", _fmt(profile.per_instance.total, raw)])
+        rows.append(["per_batch", "update", _fmt(profile.update_per_batch, raw)])
+        for name, value in (("forward_total", profile.per_run.forward),
+                            ("backprop_total", profile.per_run.backprop),
+                            ("loss", profile.per_run.loss),
+                            ("update_total", profile.per_run.update),
+                            ("total", profile.per_run.total)):
+            rows.append(["per_run", name, _fmt(value, raw)])
+        rows.append(["per_step", "total", _fmt(profile.per_step.total, raw)])
+        rows.append(["all", "nonlinear_share", _fmt(profile.nonlinear_share, raw)])
     _emit(_csv_table(rows), args.out)
     return EXIT_OK
 
@@ -251,17 +273,20 @@ def cmd_estimate(args) -> int:
     level = AnalysisLevel(args.level)
     table = _load_table(args.cost_table)
     rows = [["model_id", "tos", "predicted_j"]]
-    entries: list[tuple[str, float]] = []
+    entries: list[tuple[str, str, float]] = []
     if args.tos_file:
-        entries = _read_rows(args.tos_file, {"model_id": str, "tos": finite_float})
+        entries = [(args.tos_file, model_id, tos) for model_id, tos in
+                   _read_rows(args.tos_file, {"model_id": str, "tos": finite_float})]
     if not entries and not args.models:
         raise ValueError("estimate needs model files or --tos-file")
     for path in args.models:
         model = _load_model(path, args.format)
-        profile = analyze(model, level, table)
-        entries.append((model.name, _scaled_tos(profile, args.scale)))
-    for model_id, tos in entries:
-        rows.append([model_id, _fmt(tos, args.raw), _fmt(lr.predict(tos), args.raw)])
+        with _naming(path, model.name):
+            entries.append((path, model.name, _scaled_tos(analyze(model, level, table),
+                                                          args.scale)))
+    for source, model_id, tos in entries:
+        with _naming(source, model_id):
+            rows.append([model_id, _fmt(tos, args.raw), _fmt(lr.predict(tos), args.raw)])
     _emit(_csv_table(rows), args.out)
     return EXIT_OK
 
@@ -317,19 +342,20 @@ def cmd_sweep(args) -> int:
         for act in activations:
             member = family[index]
             index += 1
-            profile = analyze(member, level, table)
-            tos = _scaled_tos(profile, args.scale)
-            fl = flops_model(member, level)
-            if args.scale == "instance":
-                macs, flops = float(fl.per_instance.macs), float(fl.per_instance.flops)
-            elif args.scale == "step":
-                macs = fl.per_run.macs / fl.steps_per_run
-                flops = fl.per_step_flops
-            else:
-                macs, flops = float(fl.per_run.macs), float(fl.per_run.flops)
-            predicted = _fmt(lr.predict(tos), args.raw) if lr else ""
-            rows.append([str(width), act.value, _fmt(tos, args.raw),
-                         _fmt(macs, args.raw), _fmt(flops, args.raw), predicted])
+            with _naming(args.base, member.name):
+                profile = analyze(member, level, table)
+                tos = _scaled_tos(profile, args.scale)
+                fl = flops_model(member, level)
+                if args.scale == "instance":
+                    macs, flops = float(fl.per_instance.macs), float(fl.per_instance.flops)
+                elif args.scale == "step":
+                    macs = fl.per_run.macs / fl.steps_per_run
+                    flops = fl.per_step_flops
+                else:
+                    macs, flops = float(fl.per_run.macs), float(fl.per_run.flops)
+                predicted = _fmt(lr.predict(tos), args.raw) if lr else ""
+                rows.append([str(width), act.value, _fmt(tos, args.raw),
+                             _fmt(macs, args.raw), _fmt(flops, args.raw), predicted])
             svg_points.setdefault(act.value, []).append((float(width), tos))
     _emit(_csv_table(rows), args.out)
     if args.svg:
@@ -352,8 +378,14 @@ def cmd_compare(args) -> int:
     actual_values = list(actual.values())
     tos_values = [pred_tos[i] for i in ids]
     flops_values = [pred_flops[i] for i in ids]
-    tos_report = error_metrics(tos_values, actual_values)
-    flops_report = error_metrics(flops_values, actual_values)
+    reports = []
+    for path, values in ((args.predictions_tos, tos_values),
+                         (args.predictions_flops, flops_values)):
+        try:
+            reports.append(error_metrics(values, actual_values))
+        except ValueError as e:
+            raise ValueError(f"{path} against {args.actual}: {e}") from None
+    tos_report, flops_report = reports
 
     raw = args.raw
     rows = [["model_id", "actual_j", "tos_predicted_j", "tos_precision_pct",
@@ -496,9 +528,10 @@ def main(argv=None) -> int:
     except UnsupportedError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ValueError, OSError) as e:
+    except (ValueError, OverflowError, OSError) as e:
         # ParseError, ValidationError, TraceError and DegenerateFitError
-        # are all ValueErrors.
+        # are all ValueErrors; an OverflowError comes from finite input
+        # values too large for a float.
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

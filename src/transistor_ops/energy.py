@@ -234,8 +234,8 @@ class EnergySample:
     joules: float
 
     def __post_init__(self) -> None:
-        if self.joules < 0:
-            raise ValueError(f"joules must be non-negative, got {self.joules}")
+        if not (math.isfinite(self.joules) and self.joules >= 0):
+            raise ValueError(f"joules must be finite and non-negative, got {self.joules}")
 
 
 def write_energy_samples(samples: Iterable[EnergySample]) -> str:
@@ -356,7 +356,13 @@ def error_metrics(predicted: Sequence[float], actual: Sequence[float]) -> ErrorR
     errors = [float(p) - float(a) for p, a in zip(predicted, actual)]
     precision = tuple(100.0 * (1.0 - abs(e) / float(a))
                       for e, a in zip(errors, actual))
+    for i, (e, p) in enumerate(zip(errors, precision)):
+        if not (math.isfinite(e) and math.isfinite(p)):
+            raise ValueError(f"the error or the precision overflows a float; "
+                             f"violated at index {i}")
     avg_error = sum(abs(e) for e in errors) / len(errors)
+    if not math.isfinite(avg_error):
+        raise ValueError("the mean absolute error overflows a float")
     max_error = errors[0]
     for e in errors[1:]:
         if abs(e) > abs(max_error):

@@ -16,6 +16,7 @@ from transistor_ops import (
     count_loss,
     count_model,
     count_update,
+    model_family,
 )
 
 from conftest import fc_model
@@ -214,3 +215,27 @@ class TestCountModel:
         report = count_model(width4_dnn, AnalysisLevel.INFERENCE)
         # The non-linear inference census is exactly the activation ops.
         assert report.nonlinear_per_instance.as_tuple() == (13, 13, 0, 13, 13)
+
+
+@pytest.mark.parametrize("act", [Activation.NONE, Activation.SIGMOID,
+                                 Activation.TANH, Activation.GELU])
+def test_training_census_is_quadratic_in_width(act):
+    """Along a sweep family at a fixed activation, every count of the
+    per-instance training census is a quadratic in width: its third
+    differences are zero, and with two or more hidden layers the
+    multiplies' second differences are positive."""
+    rng = random.Random(41)
+    for _ in range(20):
+        dims = [rng.randint(1, 9) for _ in range(rng.randint(3, 7))]
+        base = fc_model(dims, rng.choice(list(Activation)),
+                        out_activation=rng.choice(list(Activation)),
+                        dataset_len=8, batch_size=4, epochs=2)
+        family = model_family(base, range(1, 16), [act])
+        counts = [count_model(m, AnalysisLevel.TRAINING).per_instance.as_tuple()
+                  for m in family]
+        for column in zip(*counts):
+            assert all(d - 3 * c + 3 * b - a == 0
+                       for a, b, c, d in zip(column, column[1:], column[2:], column[3:]))
+        muls = [c[2] for c in counts]
+        if len(dims) >= 4:
+            assert all(c - 2 * b + a > 0 for a, b, c in zip(muls, muls[1:], muls[2:]))

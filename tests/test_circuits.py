@@ -7,17 +7,24 @@ from transistor_ops import (
     Activation,
     AnalysisLevel,
     BasicOpCounts,
+    Convolutional,
     CostTable,
     DEFAULT_COST_TABLE,
     FP16,
     FP32,
     FP64,
+    FullyConnected,
+    Loss,
+    ModelSpec,
     OpKind,
     ParseError,
+    PhaseTos,
     ScaledUnitRef,
+    ToProfile,
     UnsupportedError,
     adder_tos,
     analyze,
+    count_model,
     fp_op_tos,
     model_family,
     parse_cost_table,
@@ -201,3 +208,69 @@ class TestAnalyze:
         # validation-level lowering of a conv stack still works
         profile = analyze(m, AnalysisLevel.VALIDATION)
         assert profile.per_instance.loss > 0.0
+
+
+def lowered_report(model, level, table):
+    """Lower the ``count_model`` report with ``tos_from_bos``, in the order
+    the lowering has always summed: each layer's census vector, then the
+    layer sums, then the run and step scaling."""
+    report = count_model(model, level)
+
+    def lower(bos):
+        return tos_from_bos(bos, model.float_format, table)
+
+    layer_forward = tuple(lower(p.forward) for p in report.layers)
+    layer_backprop = tuple(lower(p.backprop) for p in report.layers)
+    update = lower(report.update_per_batch)
+    per_instance = PhaseTos(sum(layer_forward), sum(layer_backprop), lower(report.loss), 0.0)
+    instances, steps = report.instances_per_run, report.steps_per_run
+    per_run = PhaseTos(per_instance.forward * instances, per_instance.backprop * instances,
+                       per_instance.loss * instances, update * steps)
+    step = 1.0 / steps
+    per_step = PhaseTos(per_run.forward * step, per_run.backprop * step,
+                        per_run.loss * step, per_run.update * step)
+    total = per_run.total
+    share = lower(report.nonlinear_per_run) / total if total > 0 else 0.0
+    return ToProfile(layer_forward, layer_backprop, update, per_instance, per_run,
+                     per_step, share, instances, steps)
+
+
+class TestCensusLowering:
+    """``analyze`` lowers the integer census directly; every field must be
+    ``==`` to lowering the ``count_model`` report."""
+
+    TABLES = (DEFAULT_COST_TABLE,
+              CostTable(fa_transistors=12.0, scaling_exponent=1.7, newton_iterations=4))
+
+    @staticmethod
+    def training_shape(rng):
+        dataset_len = rng.randint(1, 5000)
+        return dict(dataset_len=dataset_len, batch_size=rng.randint(1, dataset_len),
+                    epochs=rng.randint(1, 300))
+
+    def test_random_fc_stacks_at_every_level_and_format(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            dims = [rng.randint(1, 64) for _ in range(rng.randint(2, 8))]
+            layers = tuple(FullyConnected(i, o, rng.choice(list(Activation)))
+                           for i, o in zip(dims, dims[1:]))
+            table = rng.choice(self.TABLES)
+            for fmt in (FP16, FP32, FP64):
+                model = ModelSpec("fc", fmt, layers, Loss.MSE, **self.training_shape(rng))
+                for level in AnalysisLevel:
+                    assert analyze(model, level, table) == lowered_report(model, level, table)
+
+    def test_random_conv_fc_models_at_forward_levels(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            layers = [Convolutional(rng.randint(1, 12), rng.randint(1, 5), rng.randint(1, 8),
+                                    rng.randint(1, 8), rng.choice(list(Activation)))
+                      for _ in range(rng.randint(1, 3))]
+            layers.append(FullyConnected(rng.randint(1, 50), rng.randint(1, 10),
+                                         rng.choice(list(Activation))))
+            table = rng.choice(self.TABLES)
+            for fmt in (FP16, FP32, FP64):
+                model = ModelSpec("conv", fmt, tuple(layers), Loss.MSE,
+                                  **self.training_shape(rng))
+                for level in (AnalysisLevel.INFERENCE, AnalysisLevel.VALIDATION):
+                    assert analyze(model, level, table) == lowered_report(model, level, table)

@@ -409,6 +409,24 @@ BAD_INPUTS = {
     "overflowing-fit-spread": (
         {"spread_pairs.csv": "tos,joules\n1e308,1\n1.5e308,3\n-1e308,4\n"},
         ["fit", "{spread_pairs.csv}"], "spread_pairs.csv", "sums overflow"),
+    "overflowing-fan-in": (
+        {"wide.json": json.dumps(model_doc([10 ** 309, 4, 1]))},
+        ["tos", "{wide.json}"], "wide.json", "overflow"),
+    "overflowing-run-length": (
+        {"long.json": json.dumps(model_doc([4, 4, 1], dataset_len=10 ** 160,
+                                           epochs=10 ** 160))},
+        ["tos", "{long.json}", "--level", "training"], "long.json", "overflow"),
+    "overflowing-estimate": (
+        {"steep.json": FITTED.replace('"slope_j_per_to": 1.0', '"slope_j_per_to": 1e300'),
+         "big_tos.csv": "model_id,tos\nx,1e300\n"},
+        ["estimate", "--tos-file", "{big_tos.csv}", "--fitted", "{steep.json}"],
+        "big_tos.csv", "model 'x'"),
+    "overflowing-compare-error": (
+        {"tos_pred.csv": "model_id,predicted_j\na,-1e308\n",
+         "flops_pred.csv": "model_id,predicted_j\na,1e308\n",
+         "act.csv": "model_id,joules\na,1e308\n"},
+        ["compare", "{tos_pred.csv}", "{flops_pred.csv}", "{act.csv}"],
+        "tos_pred.csv", "index 0"),
 }
 
 

@@ -242,6 +242,18 @@ class TestErrorMetrics:
         with pytest.raises(ValueError, match="index 1"):
             error_metrics([1.0, 1.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("predicted,actual", [
+        ([1.0, -1e308], [1.0, 1e308]),  # the error overflows
+        ([1.0, 1e300], [1.0, 1e-10]),   # the precision overflows
+    ])
+    def test_overflowing_scores_name_the_index(self, predicted, actual):
+        with pytest.raises(ValueError, match="overflows a float; violated at index 1"):
+            error_metrics(predicted, actual)
+
+    def test_overflowing_mean_error_rejected(self):
+        with pytest.raises(ValueError, match="mean absolute error overflows"):
+            error_metrics([-7e307, -7e307], [1e308, 1e308])
+
 
 class TestTradeoff:
     CANDIDATES = [("A", 10.0, 0.5), ("B", 5.0, 0.9)]
@@ -360,6 +372,11 @@ class TestSampleFiles:
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
             EnergySample("m", "r", -1.0)
+
+    @pytest.mark.parametrize("joules", [math.nan, math.inf])
+    def test_non_finite_energy_rejected(self, joules):
+        with pytest.raises(ValueError, match="finite"):
+            EnergySample("m", "r", joules)
 
 
 class TestFittedModelFiles:

@@ -61,6 +61,9 @@ CASES = {
     "sweep-training-run-raw": ["sweep", "base.json", "--widths", "7", "--activations",
                                "tanh,none", "--level", "training", "--scale", "run",
                                "--raw", "--svg", "{svg}"],
+    "sweep-family-training-step-raw": ["sweep", "base.json", "--widths", "1..40",
+                                       "--activations", "none,sigmoid,tanh,gelu",
+                                       "--level", "training", "--scale", "step", "--raw"],
     "compare-raw": ["compare", "pred_tos.csv", "pred_flops.csv", "actual.csv", "--raw"],
     "compare": ["compare", "pred_tos.csv", "pred_flops.csv", "actual.csv"],
     "tradeoff-energy-heavy": ["tradeoff", "candidates.csv", "--alpha", "0.3"],
