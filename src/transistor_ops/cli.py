@@ -36,15 +36,14 @@ from .energy import (
     ColumnAdapter,
     DegenerateFitError,
     EnergySample,
-    TraceError,
     error_metrics,
     finite_float,
     fit,
     integrate_power,
     load_adapter,
     load_linear_model,
-    read_power_trace,
     read_table,
+    trace_samples,
     tradeoff_select,
     trimmed_mean,
     write_energy_samples,
@@ -230,11 +229,7 @@ def cmd_ingest(args) -> int:
     runs_of: dict[str, list[tuple[str, float]]] = {}
     for path in args.traces:
         model_id, run_id = _trace_identity(path)
-        trace = read_power_trace(path, adapter)
-        try:
-            joules = integrate_power(trace)
-        except TraceError as e:
-            raise TraceError(f"{path}: {e}") from None
+        joules = read_document(path, lambda fh: integrate_power(trace_samples(fh, adapter)))
         samples.append(EnergySample(model_id, run_id, joules))
         runs_of.setdefault(model_id, []).append((path, joules))
     samples.sort(key=lambda s: (s.model_id, s.run_id))

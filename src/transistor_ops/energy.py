@@ -26,9 +26,8 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime
-from itertools import islice
-from operator import add, mul, sub
+from itertools import pairwise
+from operator import mul
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from .model import (
@@ -54,6 +53,16 @@ def finite_float(text: str) -> float:
     return value
 
 
+def _open_table(source: str | IO[str], names: Iterable[str], error=ParseError):
+    """A CSV reader past the header, the header's width and the column of each name."""
+    reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
+    header = next(reader, [])
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise error(f"header must name column(s) {', '.join(missing)}")
+    return reader, len(header), [header.index(name) for name in names]
+
+
 def read_table(source: str | IO[str],
                columns: dict[str, Callable[[str], Any]]) -> Iterator[tuple]:
     """Stream the rows of a CSV table, converted column by column.
@@ -64,12 +73,8 @@ def read_table(source: str | IO[str],
     A converter signals a bad cell by raising ``ValueError``; any bad row
     raises :class:`ParseError` that names its line as ``row N``.
     """
-    reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
-    header = next(reader, [])
-    missing = [name for name in columns if name not in header]
-    if missing:
-        raise ParseError(f"header must name column(s) {', '.join(missing)}")
-    cells = [(header.index(name), convert) for name, convert in columns.items()]
+    reader, width, indices = _open_table(source, columns)
+    cells = list(zip(indices, columns.values()))
     for row in reader:
         if not row:
             continue
@@ -77,7 +82,7 @@ def read_table(source: str | IO[str],
             values = tuple([convert(row[i]) for i, convert in cells])
         except IndexError:
             raise ParseError(f"row {reader.line_num}: has {len(row)} field(s), "
-                             f"the header has {len(header)}") from None
+                             f"the header has {width}") from None
         except ValueError as e:
             raise ParseError(f"row {reader.line_num}: {e}") from None
         yield values
@@ -87,9 +92,38 @@ class DegenerateFitError(ValueError):
     """The fit points cannot determine a line."""
 
 
+def _checked(rows: Iterable, place: Callable[[int], str], ti: int = 0, pi: int = 1,
+             seconds: Callable[[Any], float] = float,
+             width: int = 2) -> Iterator[tuple[float, float]]:
+    """Yield (seconds, watts) from cells ``ti`` and ``pi`` of each non-blank
+    row under the trace rules, written only here; ``place(i)`` names where
+    sample i came from in the :class:`TraceError` a broken rule raises."""
+    before, n = -math.inf, 0
+    for row in rows:
+        if not row:
+            continue
+        try:
+            t, p = seconds(row[ti]), float(row[pi])
+        except IndexError:
+            raise TraceError(f"{place(n)}: has {len(row)} field(s), "
+                             f"the header has {width}") from None
+        except ValueError as e:
+            raise TraceError(f"{place(n)}: {e}") from None
+        if not (before < t < math.inf and 0.0 <= p < math.inf):
+            raise TraceError(f"{place(n)}: " + (
+                "time and power must be finite" if not (math.isfinite(t) and math.isfinite(p))
+                else "time must be strictly increasing" if t <= before
+                else "power must be non-negative"))
+        yield t, p
+        before, n = t, n + 1
+    if n < 2:
+        raise TraceError("a power trace needs at least 2 samples")
+
+
 @dataclass(frozen=True)
 class PowerTrace:
-    """Time-stamped instantaneous power samples.
+    """Time-stamped instantaneous power samples, held in memory for
+    library callers; iterating yields the (seconds, watts) pairs.
 
     Times are seconds and strictly increasing; power is watts and
     non-negative; at least two samples are required.
@@ -99,22 +133,15 @@ class PowerTrace:
     watts: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "watts", tuple(float(p) for p in self.watts))
         if len(self.times) != len(self.watts):
             raise TraceError("times and watts differ in length")
-        if len(self.times) < 2:
-            raise TraceError("a power trace needs at least 2 samples")
-        for i, (t, p) in enumerate(zip(self.times, self.watts)):
-            if not (math.isfinite(t) and math.isfinite(p)):
-                raise TraceError(f"time and power must be finite; "
-                                 f"violated at sample index {i}")
-            if i and t <= self.times[i - 1]:
-                raise TraceError(f"time must be strictly increasing; "
-                                 f"violated at sample index {i}")
-            if p < 0:
-                raise TraceError(f"power must be non-negative; "
-                                 f"violated at sample index {i}")
+        times, watts = zip(*_checked(zip(self.times, self.watts),
+                                     lambda i: f"sample index {i}"))
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "watts", watts)
+
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        return zip(self.times, self.watts)
 
 
 def _sum(terms: Iterable[float]) -> float:
@@ -125,14 +152,16 @@ def _sum(terms: Iterable[float]) -> float:
         return math.nan
 
 
-def integrate_power(trace: PowerTrace) -> float:
-    """Energy in joules by the trapezoidal rule, exactly rounded.
-
-    Raises :class:`TraceError` when the energy overflows a float.
-    """
-    t, p = trace.times, trace.watts
-    dt = map(sub, islice(t, 1, None), t)
-    joules = 0.5 * _sum(map(mul, dt, map(add, p, islice(p, 1, None))))
+def integrate_power(samples: Iterable[tuple[float, float]]) -> float:
+    """Energy in joules by the trapezoidal rule, exactly rounded, over
+    checked (seconds, watts) samples: a :class:`PowerTrace`, or
+    :func:`trace_samples` streaming a file, whose errors pass through.
+    Raises :class:`TraceError` when the energy overflows a float."""
+    try:
+        joules = 0.5 * math.fsum((t1 - t0) * (p0 + p1)
+                                 for (t0, p0), (t1, p1) in pairwise(samples))
+    except OverflowError:  # the partial sums of finite terms overflow
+        joules = math.inf
     if not math.isfinite(joules):
         raise TraceError("the energy overflows a float")
     return joules
@@ -171,7 +200,8 @@ def load_adapter(path) -> ColumnAdapter:
 
 def _seconds_since_first(time_format: str) -> Callable[[str], float]:
     """Cell converter: strptime timestamps to seconds since the first row."""
-    first: datetime | None = None
+    from datetime import datetime  # only adapter timestamps need it
+    first = None
 
     def convert(text: str) -> float:
         nonlocal first
@@ -183,25 +213,25 @@ def _seconds_since_first(time_format: str) -> Callable[[str], float]:
     return convert
 
 
+def trace_samples(source: str | IO[str],
+                  adapter: ColumnAdapter | None = None) -> Iterator[tuple[float, float]]:
+    """Stream the checked (seconds, watts) samples of a trace CSV (its text
+    or an open file): canonical layout, or a vendor layout through
+    ``adapter``. Nothing is kept per row; a row that breaks a trace rule
+    raises :class:`TraceError` naming its line as ``row N``."""
+    adapter = adapter or CANONICAL_TRACE
+    seconds = (float if adapter.time_format == "seconds"
+               else _seconds_since_first(adapter.time_format))
+    reader, width, (ti, pi) = _open_table(
+        source, (adapter.time_column, adapter.power_column), TraceError)
+    return _checked(reader, lambda i: f"row {reader.line_num}", ti, pi, seconds, width)
+
+
 def parse_power_trace(source: str | IO[str],
                       adapter: ColumnAdapter | None = None) -> PowerTrace:
-    """Parse a trace CSV (its text or an open file): canonical layout, or a
-    vendor layout through ``adapter``."""
-    adapter = adapter or CANONICAL_TRACE
-    if adapter.time_format == "seconds":
-        seconds = finite_float
-    else:
-        seconds = _seconds_since_first(adapter.time_format)
-    columns = {adapter.time_column: seconds, adapter.power_column: finite_float}
-    times: list[float] = []
-    watts: list[float] = []
-    try:
-        for t, p in read_table(source, columns):
-            times.append(t)
-            watts.append(p)
-    except ParseError as e:
-        raise TraceError(str(e)) from None
-    return PowerTrace(tuple(times), tuple(watts))
+    """Read a whole trace CSV into a :class:`PowerTrace`; see
+    :func:`trace_samples`."""
+    return PowerTrace(*zip(*trace_samples(source, adapter)))
 
 
 def read_power_trace(path, adapter: ColumnAdapter | None = None) -> PowerTrace:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -185,8 +184,8 @@ class ModelSpec:
 
     @property
     def steps_per_epoch(self) -> int:
-        """Optimizer steps per epoch: ceil(dataset_len / batch_size)."""
-        return math.ceil(self.dataset_len / self.batch_size)
+        """Optimizer steps per epoch: ceil(dataset_len / batch_size), in integers."""
+        return -(-self.dataset_len // self.batch_size)
 
     @property
     def instances_per_run(self) -> int:

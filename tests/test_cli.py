@@ -396,6 +396,25 @@ BAD_INPUTS = {
     "nan-tradeoff-candidate": (
         {"cands.csv": "model_id,energy_j,loss\nbad,nan,0.1\ngood,100.0,0.2\n"},
         ["tradeoff", "{cands.csv}", "--alpha", "0.5"], "cands.csv", "row 2"),
+    "non-increasing-trace-time": (
+        {"back__r0.csv": "elapsed_s,power_w\n0.0,10.0\n1.0,11.0\n1.0,9.0\n"},
+        ["ingest", "{back__r0.csv}", "--trim-k", "0"], "back__r0.csv",
+        "row 4: time must be strictly increasing"),
+    "negative-trace-power": (
+        {"neg__r0.csv": "elapsed_s,power_w\n0.0,10.0\n1.0,-0.5\n2.0,9.0\n"},
+        ["ingest", "{neg__r0.csv}", "--trim-k", "0"], "neg__r0.csv",
+        "row 3: power must be non-negative"),
+    "blank-line-before-bad-trace-row": (
+        {"gap__r0.csv": "elapsed_s,power_w\n0.0,10.0\n\n1.0,11.0\n0.5,9.0\n"},
+        ["ingest", "{gap__r0.csv}", "--trim-k", "0"], "gap__r0.csv",
+        "row 5: time must be strictly increasing"),
+    "one-sample-trace": (
+        {"one__r0.csv": "elapsed_s,power_w\n0.0,10.0\n"},
+        ["ingest", "{one__r0.csv}", "--trim-k", "0"], "one__r0.csv", "at least 2 samples"),
+    "header-only-trace": (
+        {"empty__r0.csv": "elapsed_s,power_w\n"},
+        ["ingest", "{empty__r0.csv}", "--trim-k", "0"], "empty__r0.csv",
+        "at least 2 samples"),
     "overflowing-trace-energy": (
         {"big__r0.csv": "elapsed_s,power_w\n0,1e308\n10,1e308\n"},
         ["ingest", "{big__r0.csv}", "--trim-k", "0"], "big__r0.csv", "energy overflows"),
@@ -442,6 +461,25 @@ def test_bad_input_exits_2_naming_file_and_place(name, capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert bad_file in captured.err and place in captured.err, captured.err
+
+
+def test_count_is_exact_past_the_float_range(capsys, tmp_path):
+    # 10**400 instances: the step count stays an integer, so the per-run
+    # census is exact instead of an OverflowError that names no file.
+    dataset_len, batch_size, epochs = 10 ** 400, 64, 3
+    path = write_model_doc(tmp_path / "huge.json", model_doc(
+        [4, 4, 1], dataset_len=dataset_len, batch_size=batch_size, epochs=epochs))
+    code = main(["count", path, "--level", "training"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    counts = lambda scope, phase: [[int(c) for c in r[3:]] for r in rows
+                                   if r[0] == scope and r[2] == phase]
+    (per_instance,) = counts("per_instance", "total")
+    updates = [sum(column) for column in zip(*counts("per_batch", "update"))]
+    steps = -(-dataset_len // batch_size) * epochs
+    assert counts("per_run", "total") == [[i * dataset_len * epochs + u * steps
+                                           for i, u in zip(per_instance, updates)]]
 
 
 @pytest.mark.parametrize("content,message", [

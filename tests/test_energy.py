@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from transistor_ops import (
     tradeoff_select,
     trimmed_mean,
 )
+from transistor_ops.cli import main
 from transistor_ops.energy import (
     finite_float,
     parse_adapter,
@@ -347,6 +349,25 @@ class TestTraceParsing:
         trace = parse_power_trace(text, adapter)
         assert trace.times == (0.0, 2.5, 5.0)
         assert integrate_power(trace) == 50.0
+
+    def test_ingest_streams_a_long_trace_in_constant_memory(self, tmp_path, capsys):
+        n = 100_000
+        path = tmp_path / "long__r0.csv"
+        path.write_text("elapsed_s,power_w\n" + "".join(
+            f"{i / 1000},{50 + i % 7}\n" for i in range(n)))
+        tracemalloc.start()
+        try:
+            code = main(["ingest", str(path), "--trim-k", "0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0
+        # A trace held in memory takes ~10 MB at this length.
+        assert peak < 2_000_000, f"peak {peak / 1e6:.1f} MB"
+        want = 0.5 * math.fsum(((i + 1) / 1000 - i / 1000) * (100 + i % 7 + (i + 1) % 7)
+                               for i in range(n - 1))
+        assert f"long,r0,{want!r}\n" in out
 
     def test_adapter_config_parsing(self):
         adapter = parse_adapter('{"time_column": "t", "power_column": "p"}')

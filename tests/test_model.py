@@ -74,6 +74,18 @@ class TestModelSpec:
         m = fc_model([1, 1], Activation.NONE, dataset_len=1372, batch_size=64)
         assert m.steps_per_epoch == 22
 
+    @pytest.mark.parametrize("dataset_len,batch_size,steps", [
+        (2 ** 60 + 1, 1, 2 ** 60 + 1),
+        (2 ** 60 + 1, 2, 2 ** 59 + 1),
+        (10 ** 400, 10 ** 399, 10),
+        (10 ** 400 + 1, 10 ** 200, 10 ** 200 + 1),
+    ], ids=["2**60+1 by 1", "2**60+1 by 2", "10**400 by 10**399", "10**400+1 by 10**200"])
+    def test_steps_per_epoch_is_exact_past_the_float_range(self, dataset_len,
+                                                           batch_size, steps):
+        m = fc_model([1, 1], Activation.NONE, dataset_len=dataset_len,
+                     batch_size=batch_size)
+        assert m.steps_per_epoch == steps
+
 
 class TestLevels:
     def test_inclusion_order(self):

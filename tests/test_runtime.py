@@ -34,6 +34,15 @@ def test_cli_imports_and_runs_without_numpy(tmp_path):
     assert proc.stdout.startswith("scope,layer,phase,")
 
 
+def test_cli_import_leaves_datetime_unloaded():
+    # Only adapter timestamps need datetime; it is imported on first use.
+    proc = run_python("import sys\n"
+                      "import transistor_ops.cli\n"
+                      "if 'datetime' in sys.modules:\n"
+                      "    sys.exit('datetime was imported')\n")
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_with_numpy_blocked(demo):
     # A None entry in sys.modules makes any `import numpy` raise ImportError.
