@@ -72,9 +72,20 @@ from .model import (
     parse_model_file,
     serialize_model,
 )
-from .oracle import CountingScalar, TrainingStepTally, run_forward, run_training_step
 
 __version__ = "0.1.0"
+
+# The scalar oracle is imported on first use: the CLI needs it only for
+# its `oracle` subcommand.
+_ORACLE_NAMES = {"CountingScalar", "TrainingStepTally", "run_forward", "run_training_step"}
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Activation",

@@ -30,8 +30,7 @@ against the instrumented scalar executor in :mod:`transistor_ops.oracle`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .model import (
     Activation,
@@ -40,6 +39,8 @@ from .model import (
     LayerSpec,
     Loss,
     ModelSpec,
+    Value,
+    _set,
 )
 
 
@@ -47,22 +48,19 @@ class UnsupportedError(ValueError):
     """The requested analysis is not defined for this layer or level."""
 
 
-@dataclass(frozen=True)
-class BasicOpCounts:
+class BasicOpCounts(Value):
     """Counts of the five basic operations, ordered [add, sub, mul, div, root]."""
 
-    n_add: int = 0
-    n_sub: int = 0
-    n_mul: int = 0
-    n_div: int = 0
-    n_root: int = 0
+    __slots__ = ("n_add", "n_sub", "n_mul", "n_div", "n_root")
 
-    def __post_init__(self) -> None:
-        for name, value in self.__dict__.items():
+    def __init__(self, n_add: int = 0, n_sub: int = 0, n_mul: int = 0,
+                 n_div: int = 0, n_root: int = 0) -> None:
+        for name, value in zip(self.__slots__, (n_add, n_sub, n_mul, n_div, n_root)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
+            _set(self, name, value)
 
     def __add__(self, other: "BasicOpCounts") -> "BasicOpCounts":
         return BasicOpCounts(*_total((self.as_tuple(), other.as_tuple())))
@@ -219,8 +217,7 @@ def census(model: ModelSpec, level: AnalysisLevel
     return layers, loss, update, _total(nonlinear)
 
 
-@dataclass(frozen=True)
-class LayerBoProfile:
+class LayerBoProfile(NamedTuple):
     """Per-layer census: forward and backprop are per data instance,
     ``update_per_batch`` is per optimizer step."""
 
@@ -229,8 +226,7 @@ class LayerBoProfile:
     update_per_batch: BasicOpCounts
 
 
-@dataclass(frozen=True)
-class ModelBoReport:
+class ModelBoReport(NamedTuple):
     """Whole-model census at a given analysis level.
 
     ``per_instance`` aggregates the per-instance phases the level

@@ -21,10 +21,10 @@ The cost table is immutable after load and every function here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .basic_ops import BasicOpCounts, census, scale_to_run
 from .model import (
@@ -32,6 +32,8 @@ from .model import (
     FloatFormat,
     ModelSpec,
     ParseError,
+    Value,
+    _set,
     as_count,
     as_number,
     check_keys,
@@ -48,40 +50,44 @@ class OpKind(Enum):
     ROOT = "root"
 
 
-@dataclass(frozen=True)
-class ScaledUnitRef:
+class ScaledUnitRef(Value):
     """Reference circuit: transistor count at a known operand width."""
 
-    bits: int
-    transistors: float
+    __slots__ = ("bits", "transistors")
 
-    def __post_init__(self) -> None:
-        if self.bits < 1:
+    def __init__(self, bits: int, transistors: float) -> None:
+        if bits < 1:
             raise ValueError("reference bit width must be >= 1")
-        if self.transistors <= 0:
+        if transistors <= 0:
             raise ValueError("reference transistor count must be positive")
+        _set(self, "bits", bits)
+        _set(self, "transistors", transistors)
 
 
-@dataclass(frozen=True)
-class CostTable:
+class CostTable(Value):
     """Transistor costs for circuit primitives plus scaling parameters."""
 
-    fa_transistors: float = 10.0
-    ha_transistors: float = 5.0
-    xor_transistors: float = 6.0
-    mult_ref: ScaledUnitRef = ScaledUnitRef(64, 90_000.0)
-    div_ref: ScaledUnitRef = ScaledUnitRef(64, 110_000.0)
-    scaling_exponent: float = 2.0
-    newton_iterations: int = 3
+    __slots__ = ("fa_transistors", "ha_transistors", "xor_transistors",
+                 "mult_ref", "div_ref", "scaling_exponent", "newton_iterations")
 
-    def __post_init__(self) -> None:
-        for name in ("fa_transistors", "ha_transistors", "xor_transistors"):
-            if getattr(self, name) <= 0:
+    def __init__(self, fa_transistors: float = 10.0, ha_transistors: float = 5.0,
+                 xor_transistors: float = 6.0,
+                 mult_ref: ScaledUnitRef = ScaledUnitRef(64, 90_000.0),
+                 div_ref: ScaledUnitRef = ScaledUnitRef(64, 110_000.0),
+                 scaling_exponent: float = 2.0, newton_iterations: int = 3) -> None:
+        for name, value in (("fa_transistors", fa_transistors),
+                            ("ha_transistors", ha_transistors),
+                            ("xor_transistors", xor_transistors)):
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.scaling_exponent <= 0:
+        if scaling_exponent <= 0:
             raise ValueError("scaling_exponent must be positive")
-        if self.newton_iterations < 1:
+        if newton_iterations < 1:
             raise ValueError("newton_iterations must be >= 1")
+        for name, value in zip(self.__slots__, (
+                fa_transistors, ha_transistors, xor_transistors, mult_ref, div_ref,
+                scaling_exponent, newton_iterations)):
+            _set(self, name, value)
 
 
 DEFAULT_COST_TABLE = CostTable()
@@ -186,8 +192,7 @@ def tos_from_bos(bos: BasicOpCounts, fmt: FloatFormat,
     return _dot(bos.as_tuple(), fp_cost_vector(fmt, table))
 
 
-@dataclass(frozen=True)
-class PhaseTos:
+class PhaseTos(NamedTuple):
     """Transistor operations split by run step."""
 
     forward: float = 0.0
@@ -200,8 +205,7 @@ class PhaseTos:
         return self.forward + self.backprop + self.loss + self.update
 
 
-@dataclass(frozen=True)
-class ToProfile:
+class ToProfile(NamedTuple):
     """Per-layer and aggregate transistor-operation workload.
 
     ``per_instance`` covers one data instance (updates are per batch

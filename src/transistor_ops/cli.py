@@ -60,7 +60,6 @@ from .model import (
     parse_model_file,
     read_document,
 )
-from .oracle import default_inputs, default_weights, run_training_step
 
 COST_TABLE_ENV = "TOS_COST_TABLE"
 
@@ -408,6 +407,7 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import default_inputs, default_weights, run_training_step
     model = _load_model(args.model, None)
     weights = default_weights(model, args.seed)
     inputs = default_inputs(model, args.seed)

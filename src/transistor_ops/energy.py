@@ -25,13 +25,14 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from itertools import pairwise
 from operator import mul
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
     ParseError,
+    Value,
+    _set,
     as_count,
     as_number,
     check_keys,
@@ -120,8 +121,11 @@ def _checked(rows: Iterable, place: Callable[[int], str], ti: int = 0, pi: int =
         raise TraceError("a power trace needs at least 2 samples")
 
 
-@dataclass(frozen=True)
-class PowerTrace:
+def _sample_index(i: int) -> str:
+    return f"sample index {i}"
+
+
+class PowerTrace(Value):
     """Time-stamped instantaneous power samples, held in memory for
     library callers; iterating yields the (seconds, watts) pairs.
 
@@ -129,16 +133,14 @@ class PowerTrace:
     non-negative; at least two samples are required.
     """
 
-    times: tuple[float, ...]
-    watts: tuple[float, ...]
+    __slots__ = ("times", "watts")
 
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.watts):
+    def __init__(self, times: tuple[float, ...], watts: tuple[float, ...]) -> None:
+        if len(times) != len(watts):
             raise TraceError("times and watts differ in length")
-        times, watts = zip(*_checked(zip(self.times, self.watts),
-                                     lambda i: f"sample index {i}"))
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "watts", watts)
+        times, watts = zip(*_checked(zip(times, watts), _sample_index))
+        _set(self, "times", times)
+        _set(self, "watts", watts)
 
     def __iter__(self) -> Iterator[tuple[float, float]]:
         return zip(self.times, self.watts)
@@ -154,9 +156,13 @@ def _sum(terms: Iterable[float]) -> float:
 
 def integrate_power(samples: Iterable[tuple[float, float]]) -> float:
     """Energy in joules by the trapezoidal rule, exactly rounded, over
-    checked (seconds, watts) samples: a :class:`PowerTrace`, or
-    :func:`trace_samples` streaming a file, whose errors pass through.
-    Raises :class:`TraceError` when the energy overflows a float."""
+    (seconds, watts) samples. Samples are checked under the trace rules
+    as they are summed, and a broken rule raises :class:`TraceError`
+    naming the sample index; a stream from :func:`trace_samples` is
+    checked already, and its errors, which name the file row, pass
+    through. Raises :class:`TraceError` when the energy overflows a float."""
+    if getattr(samples, "gi_code", None) is not _checked.__code__:
+        samples = _checked(samples, _sample_index)
     try:
         joules = 0.5 * math.fsum((t1 - t0) * (p0 + p1)
                                  for (t0, p0), (t1, p1) in pairwise(samples))
@@ -167,8 +173,7 @@ def integrate_power(samples: Iterable[tuple[float, float]]) -> float:
     return joules
 
 
-@dataclass(frozen=True)
-class ColumnAdapter:
+class ColumnAdapter(NamedTuple):
     """Maps a vendor power-log layout onto the canonical trace.
 
     ``time_format`` is either ``"seconds"`` for numeric elapsed seconds
@@ -257,15 +262,15 @@ def trimmed_mean(samples: Sequence[float], k: int = 5) -> float:
     return mean
 
 
-@dataclass(frozen=True)
-class EnergySample:
-    model_id: str
-    run_id: str
-    joules: float
+class EnergySample(Value):
+    __slots__ = ("model_id", "run_id", "joules")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.joules) and self.joules >= 0):
-            raise ValueError(f"joules must be finite and non-negative, got {self.joules}")
+    def __init__(self, model_id: str, run_id: str, joules: float) -> None:
+        if not (math.isfinite(joules) and joules >= 0):
+            raise ValueError(f"joules must be finite and non-negative, got {joules}")
+        _set(self, "model_id", model_id)
+        _set(self, "run_id", run_id)
+        _set(self, "joules", joules)
 
 
 def write_energy_samples(samples: Iterable[EnergySample]) -> str:
@@ -277,23 +282,24 @@ def write_energy_samples(samples: Iterable[EnergySample]) -> str:
     return out.getvalue()
 
 
-@dataclass(frozen=True)
-class LinearModel:
+class LinearModel(Value):
     """Affine workload-to-energy map with fit diagnostics."""
 
-    intercept: float
-    slope: float
-    r_squared: float
-    n_points: int
+    __slots__ = ("intercept", "slope", "r_squared", "n_points")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.intercept) and math.isfinite(self.slope)):
+    def __init__(self, intercept: float, slope: float, r_squared: float,
+                 n_points: int) -> None:
+        if not (math.isfinite(intercept) and math.isfinite(slope)):
             raise ValueError(f"intercept and slope must be finite, got "
-                             f"{self.intercept} and {self.slope}")
-        if self.n_points < 2:
+                             f"{intercept} and {slope}")
+        if n_points < 2:
             raise ValueError("a linear model needs at least 2 fit points")
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise ValueError(f"r_squared must lie in [0, 1], got {self.r_squared}")
+        if not 0.0 <= r_squared <= 1.0:
+            raise ValueError(f"r_squared must lie in [0, 1], got {r_squared}")
+        _set(self, "intercept", intercept)
+        _set(self, "slope", slope)
+        _set(self, "r_squared", r_squared)
+        _set(self, "n_points", n_points)
 
     def predict(self, tos: float) -> float:
         return self.intercept + self.slope * tos
@@ -359,8 +365,7 @@ def load_linear_model(path) -> LinearModel:
     return read_document(path, lambda fh: read_linear_model(fh.read()))
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Prediction quality: per-model precision percentages, mean absolute
     error, and the signed error of largest magnitude (first occurrence
     wins ties)."""

@@ -12,13 +12,12 @@ worth of MACs (forward plus two backward traversals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import AnalysisLevel, LayerSpec, ModelSpec
 
 
-@dataclass(frozen=True)
-class FlopsCount:
+class FlopsCount(NamedTuple):
     macs: int
 
     @property
@@ -26,8 +25,7 @@ class FlopsCount:
         return 2 * self.macs
 
 
-@dataclass(frozen=True)
-class FlopsReport:
+class FlopsReport(NamedTuple):
     per_instance: FlopsCount
     per_run: FlopsCount
     instances_per_run: int

@@ -18,8 +18,8 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 from typing import IO, Any, Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -33,19 +33,67 @@ class ValidationError(ValueError):
     """The document parsed but describes an inconsistent model."""
 
 
-@dataclass(frozen=True)
-class FloatFormat:
+# How a value class's __init__ sets a field past Value.__setattr__.
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the immutable value classes that validate their fields.
+
+    A subclass lists its fields, two or more, in ``__slots__`` (so the
+    per-class ``attrgetter`` returns a tuple) and sets each one in its
+    own ``__init__`` through ``object.__setattr__``. Instances compare
+    equal only to instances of the same class with equal fields, hash by
+    their fields, and refuse assignment. :meth:`_replace`, ``copy`` and
+    ``pickle`` build new instances through ``__init__``, so every copy
+    is validated again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__slots__
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._key(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied, validated like a new value."""
+        return type(self)(**dict(zip(self._fields, self._key(self)), **changes))
+
+
+class FloatFormat(Value):
     """IEEE-754 style binary float layout: sign, exponent, fraction bits."""
 
-    exponent_bits: int
-    fraction_bits: int
-    sign_bits: int = 1
+    __slots__ = ("exponent_bits", "fraction_bits", "sign_bits")
 
-    def __post_init__(self) -> None:
-        if self.sign_bits != 1:
+    def __init__(self, exponent_bits: int, fraction_bits: int, sign_bits: int = 1) -> None:
+        if sign_bits != 1:
             raise ValidationError("float formats carry exactly one sign bit")
-        if self.exponent_bits < 1 or self.fraction_bits < 1:
+        if exponent_bits < 1 or fraction_bits < 1:
             raise ValidationError("exponent and fraction need at least one bit each")
+        _set(self, "exponent_bits", exponent_bits)
+        _set(self, "fraction_bits", fraction_bits)
+        _set(self, "sign_bits", sign_bits)
 
     @property
     def significand_bits(self) -> int:
@@ -92,17 +140,18 @@ class AnalysisLevel(str, Enum):
         return self is AnalysisLevel.TRAINING
 
 
-@dataclass(frozen=True)
-class FullyConnected:
+class FullyConnected(Value):
     """Dense layer with ``inputs`` fan-in and ``outputs`` units."""
 
-    inputs: int
-    outputs: int
-    activation: Activation = Activation.NONE
+    __slots__ = ("inputs", "outputs", "activation")
 
-    def __post_init__(self) -> None:
-        if self.inputs < 1 or self.outputs < 1:
+    def __init__(self, inputs: int, outputs: int,
+                 activation: Activation = Activation.NONE) -> None:
+        if inputs < 1 or outputs < 1:
             raise ValidationError("fully-connected dimensions must be >= 1")
+        _set(self, "inputs", inputs)
+        _set(self, "outputs", outputs)
+        _set(self, "activation", activation)
 
     @property
     def output_units(self) -> int:
@@ -114,20 +163,20 @@ class FullyConnected:
         return self.inputs * self.outputs
 
 
-@dataclass(frozen=True)
-class Convolutional:
+class Convolutional(Value):
     """2-D convolution described by its output window and kernel shape."""
 
-    out_width: int
-    kernel: int
-    in_channels: int
-    out_channels: int
-    activation: Activation = Activation.NONE
+    __slots__ = ("out_width", "kernel", "in_channels", "out_channels", "activation")
 
-    def __post_init__(self) -> None:
-        dims = (self.out_width, self.kernel, self.in_channels, self.out_channels)
-        if any(d < 1 for d in dims):
+    def __init__(self, out_width: int, kernel: int, in_channels: int, out_channels: int,
+                 activation: Activation = Activation.NONE) -> None:
+        if any(d < 1 for d in (out_width, kernel, in_channels, out_channels)):
             raise ValidationError("convolutional dimensions must be >= 1")
+        _set(self, "out_width", out_width)
+        _set(self, "kernel", kernel)
+        _set(self, "in_channels", in_channels)
+        _set(self, "out_channels", out_channels)
+        _set(self, "activation", activation)
 
     @property
     def output_units(self) -> int:
@@ -143,8 +192,7 @@ class Convolutional:
 LayerSpec = FullyConnected | Convolutional
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Value):
     """A validated architecture description.
 
     ``dataset_len``, ``batch_size`` and ``epochs`` describe one training
@@ -152,35 +200,40 @@ class ModelSpec:
     counts.
     """
 
-    name: str
-    float_format: FloatFormat
-    layers: tuple[LayerSpec, ...]
-    loss: Loss = Loss.MSE
-    dataset_len: int = 1
-    batch_size: int = 1
-    epochs: int = 1
+    __slots__ = ("name", "float_format", "layers", "loss",
+                 "dataset_len", "batch_size", "epochs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if not self.name:
+    def __init__(self, name: str, float_format: FloatFormat,
+                 layers: tuple[LayerSpec, ...], loss: Loss = Loss.MSE,
+                 dataset_len: int = 1, batch_size: int = 1, epochs: int = 1) -> None:
+        layers = tuple(layers)
+        if not name:
             raise ValidationError("model name must be non-empty")
-        if not self.layers:
+        if not layers:
             raise ValidationError("model needs at least one layer")
-        for i in range(len(self.layers) - 1):
-            a, b = self.layers[i], self.layers[i + 1]
+        for i in range(len(layers) - 1):
+            a, b = layers[i], layers[i + 1]
             if isinstance(a, FullyConnected) and isinstance(b, FullyConnected):
                 if a.outputs != b.inputs:
                     raise ValidationError(
                         f"layer {i + 1} produces {a.outputs} outputs but "
                         f"layer {i + 2} expects {b.inputs} inputs"
                     )
-        for field in ("dataset_len", "batch_size", "epochs"):
-            if getattr(self, field) < 1:
+        for field, value in (("dataset_len", dataset_len), ("batch_size", batch_size),
+                             ("epochs", epochs)):
+            if value < 1:
                 raise ValidationError(f"{field} must be >= 1")
-        if self.batch_size > self.dataset_len:
+        if batch_size > dataset_len:
             raise ValidationError(
-                f"batch_size {self.batch_size} exceeds dataset_len {self.dataset_len}"
+                f"batch_size {batch_size} exceeds dataset_len {dataset_len}"
             )
+        _set(self, "name", name)
+        _set(self, "float_format", float_format)
+        _set(self, "layers", layers)
+        _set(self, "loss", loss)
+        _set(self, "dataset_len", dataset_len)
+        _set(self, "batch_size", batch_size)
+        _set(self, "epochs", epochs)
 
     @property
     def steps_per_epoch(self) -> int:
@@ -198,7 +251,7 @@ class ModelSpec:
         return self.steps_per_epoch * self.epochs
 
     def with_float_format(self, fmt: FloatFormat) -> "ModelSpec":
-        return replace(self, float_format=fmt)
+        return self._replace(float_format=fmt)
 
 
 def check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -382,6 +435,6 @@ def model_family(base: ModelSpec, widths: Sequence[int],
                 outputs = last.outputs if i == depth - 1 else width
                 activation = last.activation if i == depth - 1 else act
                 layers.append(FullyConnected(inputs, outputs, activation))
-            family.append(replace(base, name=f"{base.name}-w{width}-{act.value}",
-                                  layers=tuple(layers)))
+            family.append(base._replace(name=f"{base.name}-w{width}-{act.value}",
+                                        layers=tuple(layers)))
     return family

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .basic_ops import BasicOpCounts, UnsupportedError
 from .model import Activation, FullyConnected, Loss, ModelSpec
@@ -152,8 +151,7 @@ def default_inputs(model: ModelSpec, seed: int | None = None) -> list[float]:
     return [rng.uniform(0.1, 0.9) for _ in range(first.inputs)]
 
 
-@dataclass(frozen=True)
-class _LayerTrace:
+class _LayerTrace(NamedTuple):
     layer: FullyConnected
     inputs: list
     pre_act: list
@@ -195,8 +193,7 @@ def run_forward(model: ModelSpec, inputs: Sequence[float],
     return [y.value for y in traces[-1].outputs], tally.snapshot()
 
 
-@dataclass(frozen=True)
-class TrainingStepTally:
+class TrainingStepTally(NamedTuple):
     """Per-segment tallies for one forward/loss/backprop/update step.
 
     ``updated_weights`` holds the post-step (weights, biases) values per

@@ -77,6 +77,29 @@ class TestIntegration:
         with pytest.raises(TraceError, match="overflows"):
             integrate_power(PowerTrace(times, watts))
 
+    # Library callers may pass any (seconds, watts) pairs; integrate_power
+    # checks them under the trace rules and names the sample index.
+    @pytest.mark.parametrize("samples,match", [
+        ([(1.0, 1.0), (0.0, 1.0)], "sample index 1: time must be strictly increasing"),
+        ([(0.0, 1.0), (0.0, 1.0)], "sample index 1: time must be strictly increasing"),
+        ([(0.0, 1.0)], "at least 2 samples"),
+        ([], "at least 2 samples"),
+        ([(0.0, -5.0), (1.0, 1.0)], "sample index 0: power must be non-negative"),
+        ([(0.0, 1.0), (math.nan, 1.0)], "sample index 1: time and power must be finite"),
+        ([(0.0, 1.0), (1.0, math.nan)], "sample index 1: time and power must be finite"),
+        ([(0.0, 1.0), (1.0, math.inf)], "sample index 1: time and power must be finite"),
+    ], ids=["reversed time", "repeated time", "one sample", "no samples",
+            "negative power", "nan time", "nan power", "inf power"])
+    def test_unchecked_pairs_rejected_naming_the_index(self, samples, match):
+        with pytest.raises(TraceError, match=match):
+            integrate_power(samples)
+        with pytest.raises(TraceError, match=match):
+            integrate_power(iter(samples))
+
+    def test_checked_pairs_from_any_iterable(self):
+        assert integrate_power([(0.0, 10.0), (5.0, 10.0)]) == 50.0
+        assert integrate_power(zip((0.0, 1.0, 2.0), (1.0, 3.0, 1.0))) == 4.0
+
     def test_random_polylines_match_segmentwise_quadrature(self):
         rng = random.Random(17)
         for _ in range(20):

@@ -43,6 +43,46 @@ def test_cli_import_leaves_datetime_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+# Modules a cold CLI call must not load: the value classes are written
+# without `dataclasses` (which pulls in `inspect`), and the scalar oracle
+# is imported only by the `oracle` subcommand.
+COLD_UNLOADED = ("dataclasses", "inspect", "transistor_ops.oracle")
+
+
+def test_cli_import_leaves_dataclasses_and_the_oracle_unloaded():
+    proc = run_python("import sys\n"
+                      "import transistor_ops.cli\n"
+                      "print(' '.join(m for m in sys.argv[1:] if m in sys.modules))\n",
+                      *COLD_UNLOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_count_subcommand_leaves_dataclasses_and_the_oracle_unloaded(tmp_path):
+    # -X importtime lists on stderr every module the child imports.
+    path = write_model_doc(tmp_path / "m.json", model_doc([4, 4, 1]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "transistor_ops",
+                           "count", path], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("scope,layer,phase,")
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "transistor_ops.cli" in imported
+    assert imported.isdisjoint(COLD_UNLOADED)
+
+
+def test_oracle_subcommand_imports_the_oracle_on_first_use(tmp_path):
+    path = write_model_doc(tmp_path / "m.json", model_doc([4, 4, 1]))
+    proc = run_python("import sys\n"
+                      "from transistor_ops.cli import main\n"
+                      "code = main(['oracle', sys.argv[1]])\n"
+                      "sys.exit(code or 'transistor_ops.oracle' not in sys.modules)\n",
+                      path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("segment,n_add,")
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_with_numpy_blocked(demo):
     # A None entry in sys.modules makes any `import numpy` raise ImportError.
