@@ -65,6 +65,6 @@ for level in AnalysisLevel:
 report = count_model(model, AnalysisLevel.TRAINING)
 print("loss per instance:        ", report.loss.as_tuple())
 print("update per batch step:    ", report.update_per_batch.as_tuple())
-print("instances per run:        ", report.instances_per_run)
-print("optimizer steps per run:  ", report.steps_per_run)
+print("instances per run:        ", model.instances_per_run)
+print("optimizer steps per run:  ", model.steps_per_run)
 print("training ops per full run:", report.per_run.as_tuple())

@@ -34,9 +34,9 @@ for member in family:
     act = member.layers[0].activation
     totals[(w, act)] = analyze(member, AnalysisLevel.INFERENCE).per_instance.total
 for w in widths:
-    flops = flops_model(
+    flops = 2 * flops_model(
         model_family(base, [w], [Activation.SIGMOID])[0],
-        AnalysisLevel.INFERENCE).per_instance.flops
+        AnalysisLevel.INFERENCE)
     print(f"{w:5d} "
           + " ".join(f"{totals[(w, a)]:12.0f}" for a in acts)
           + f" {flops:8d}")

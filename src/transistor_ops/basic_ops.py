@@ -232,7 +232,7 @@ class ModelBoReport(NamedTuple):
     ``per_instance`` aggregates the per-instance phases the level
     includes; ``per_run`` scales those by dataset_len * epochs and, at
     training level, adds the update census times the total number of
-    optimizer steps. The ``nonlinear_*`` aggregates cover everything a
+    optimizer steps. ``nonlinear_per_run`` covers everything a
     multiply-accumulate-only count ignores: activations, activation
     derivatives, the loss, and parameter updates.
     """
@@ -242,10 +242,7 @@ class ModelBoReport(NamedTuple):
     update_per_batch: BasicOpCounts
     per_instance: BasicOpCounts
     per_run: BasicOpCounts
-    nonlinear_per_instance: BasicOpCounts
     nonlinear_per_run: BasicOpCounts
-    instances_per_run: int
-    steps_per_run: int
 
 
 def count_model(model: ModelSpec, level: AnalysisLevel) -> ModelBoReport:
@@ -259,8 +256,5 @@ def count_model(model: ModelSpec, level: AnalysisLevel) -> ModelBoReport:
         update_per_batch=BasicOpCounts(*update),
         per_instance=BasicOpCounts(*per_instance),
         per_run=BasicOpCounts(*scale_to_run(per_instance, update, model)),
-        nonlinear_per_instance=BasicOpCounts(*nonlinear),
         nonlinear_per_run=BasicOpCounts(*scale_to_run(nonlinear, update, model)),
-        instances_per_run=model.instances_per_run,
-        steps_per_run=model.steps_per_run,
     )

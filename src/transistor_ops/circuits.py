@@ -227,8 +227,6 @@ class ToProfile(NamedTuple):
     per_run: PhaseTos
     per_step: PhaseTos
     nonlinear_share: float
-    instances_per_run: int
-    steps_per_run: int
 
 
 def analyze(model: ModelSpec, level: AnalysisLevel,
@@ -261,6 +259,4 @@ def analyze(model: ModelSpec, level: AnalysisLevel,
         per_run=per_run,
         per_step=per_step,
         nonlinear_share=share,
-        instances_per_run=instances,
-        steps_per_run=steps,
     )

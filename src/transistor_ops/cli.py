@@ -67,6 +67,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 
+# The most models (widths x activations) one sweep builds.
+MAX_FAMILY = 10_000
+
 
 def _fmt(value: float, raw: bool) -> str:
     """The only number formatter: no non-finite value reaches the output."""
@@ -113,28 +116,37 @@ def _load_table(path: str | None) -> CostTable:
     return load_cost_table(path)
 
 
-def _parse_widths(text: str) -> list[int]:
+def _parse_widths(text: str, activations: int) -> range:
+    """``a..b`` or ``a``, checked from its bounds: no width below 1, and
+    no more than MAX_FAMILY members with the given activations."""
     text = text.strip()
+    lo_s, dots, hi_s = text.partition("..")
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            widths = list(range(lo, hi + 1))
-        else:
-            widths = [int(text)]
+        lo = int(lo_s)
+        hi = int(hi_s) if dots else lo
     except ValueError:
-        raise ValueError(f"cannot parse width range {text!r}; "
-                         f"expected 'a..b' or a single integer") from None
-    if not widths:
-        raise ValueError(f"width range {text!r} is empty")
-    return widths
+        raise ValueError(f"--widths {text!r}: expected 'a..b' or a single integer") from None
+    if lo < 1:
+        raise ValueError(f"--widths {text!r}: widths must be >= 1")
+    if hi < lo:
+        raise ValueError(f"--widths {text!r}: the range is empty")
+    members = (hi - lo + 1) * activations
+    if members > MAX_FAMILY:
+        raise ValueError(f"--widths {text!r} with {activations} activation(s) makes "
+                         f"{members} models; a sweep takes at most {MAX_FAMILY}")
+    return range(lo, hi + 1)
 
 
 def _parse_activations(text: str) -> list[Activation]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    if not names:
-        raise ValueError("activation list is empty")
-    return [Activation(name) for name in names]
+    try:
+        activations = [Activation(part.strip()) for part in text.split(",") if part.strip()]
+    except ValueError as e:
+        raise ValueError(f"--activations {text!r}: {e}") from None
+    if not activations:
+        raise ValueError("--activations: the list is empty")
+    if len(set(activations)) < len(activations):
+        raise ValueError(f"--activations {text!r}: an activation is named twice")
+    return activations
 
 
 def _read_rows(path: str, columns: dict) -> list[tuple]:
@@ -224,17 +236,20 @@ def cmd_ingest(args) -> int:
     adapter: ColumnAdapter | None = None
     if args.adapter:
         adapter = load_adapter(args.adapter)
-    samples = []
-    runs_of: dict[str, list[tuple[str, float]]] = {}
+    runs_of: dict[str, dict[str, tuple[str, float]]] = {}
     for path in args.traces:
         model_id, run_id = _trace_identity(path)
-        joules = read_document(path, lambda fh: integrate_power(trace_samples(fh, adapter)))
-        samples.append(EnergySample(model_id, run_id, joules))
-        runs_of.setdefault(model_id, []).append((path, joules))
-    samples.sort(key=lambda s: (s.model_id, s.run_id))
-    aggregated = []
+        runs = runs_of.setdefault(model_id, {})
+        if run_id in runs:
+            raise ValueError(f"{runs[run_id][0]}, {path}: both are run {run_id!r} "
+                             f"of model {model_id!r}")
+        runs[run_id] = path, read_document(
+            path, lambda fh: integrate_power(trace_samples(fh, adapter)))
+    samples, aggregated = [], []
     for model_id, runs in sorted(runs_of.items()):
-        paths, values = zip(*runs)
+        samples += [EnergySample(model_id, run_id, joules)
+                    for run_id, (_, joules) in sorted(runs.items())]
+        paths, values = zip(*runs.values())
         try:
             mean = trimmed_mean(values, args.trim_k)
         except ValueError as e:
@@ -254,12 +269,18 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _scaled_tos(profile: ToProfile, scale: str) -> float:
-    if scale == "instance":
-        return profile.per_instance.total
+def _at_scale(scale: str, model: ModelSpec, profile: ToProfile,
+              macs: int = 0) -> tuple[float, float, float]:
+    """TOs, MACs and FLOPs (2 x MACs) at ``--scale``, from the profile and
+    the per-instance MACs. A count stays an exact integer up to the one
+    true division by the steps per run at step scale."""
+    tos = getattr(profile, f"per_{scale}").total
+    if scale != "instance":
+        macs *= model.instances_per_run
     if scale == "step":
-        return profile.per_step.total
-    return profile.per_run.total
+        steps = model.steps_per_run
+        return tos, macs / steps, 2 * macs / steps
+    return tos, float(macs), float(2 * macs)
 
 
 def cmd_estimate(args) -> int:
@@ -276,8 +297,8 @@ def cmd_estimate(args) -> int:
     for path in args.models:
         model = _load_model(path, args.format)
         with _naming(path, model.name):
-            entries.append((path, model.name, _scaled_tos(analyze(model, level, table),
-                                                          args.scale)))
+            entries.append((path, model.name,
+                            _at_scale(args.scale, model, analyze(model, level, table))[0]))
     for source, model_id, tos in entries:
         with _naming(source, model_id):
             rows.append([model_id, _fmt(tos, args.raw), _fmt(lr.predict(tos), args.raw)])
@@ -323,30 +344,21 @@ def _sweep_svg(points: dict[str, list[tuple[float, float]]]) -> str:
 
 def cmd_sweep(args) -> int:
     base = _load_model(args.base, args.format)
-    widths = _parse_widths(args.widths)
     activations = _parse_activations(args.activations)
+    widths = _parse_widths(args.widths, len(activations))
     level = AnalysisLevel(args.level)
     table = _load_table(args.cost_table)
     lr = load_linear_model(args.fitted_model) if args.fitted_model else None
-    family = model_family(base, widths, activations)
+    members = iter(model_family(base, widths, activations))
     rows = [["width", "activation", "tos", "macs", "flops", "predicted_j"]]
     svg_points: dict[str, list[tuple[float, float]]] = {}
-    index = 0
     for width in widths:
         for act in activations:
-            member = family[index]
-            index += 1
+            member = next(members)
             with _naming(args.base, member.name):
-                profile = analyze(member, level, table)
-                tos = _scaled_tos(profile, args.scale)
-                fl = flops_model(member, level)
-                if args.scale == "instance":
-                    macs, flops = float(fl.per_instance.macs), float(fl.per_instance.flops)
-                elif args.scale == "step":
-                    macs = fl.per_run.macs / fl.steps_per_run
-                    flops = fl.per_step_flops
-                else:
-                    macs, flops = float(fl.per_run.macs), float(fl.per_run.flops)
+                tos, macs, flops = _at_scale(args.scale, member,
+                                             analyze(member, level, table),
+                                             flops_model(member, level))
                 predicted = _fmt(lr.predict(tos), args.raw) if lr else ""
                 rows.append([str(width), act.value, _fmt(tos, args.raw),
                              _fmt(macs, args.raw), _fmt(flops, args.raw), predicted])

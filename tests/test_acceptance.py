@@ -77,8 +77,8 @@ def step_tos(model):
 
 
 def step_flops(model):
-    report = flops_model(model, AnalysisLevel.TRAINING)
-    return report.per_run.flops / report.steps_per_run
+    macs = flops_model(model, AnalysisLevel.TRAINING)
+    return 2 * macs * model.instances_per_run / model.steps_per_run
 
 
 def test_01_fully_connected_forward_grid():

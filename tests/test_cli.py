@@ -12,6 +12,7 @@ from transistor_ops import (
     analyze,
     parse_model,
 )
+from transistor_ops import cli
 from transistor_ops.cli import main
 from transistor_ops.energy import write_linear_model
 
@@ -164,6 +165,23 @@ class TestIngest:
         sample = next(r for r in rows_of(out) if r[1] == "r0")
         assert float(sample[2]) == 50.0
 
+    def test_repeated_run_exits_2_naming_both_paths(self, capsys, tmp_path):
+        # The same file twice, or two files with one stem, would count a run twice.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        r0 = write_trace(tmp_path / "a" / "m__r0.csv", [(0.0, 1.0), (10.0, 1.0)])
+        r0_again = write_trace(tmp_path / "b" / "m__r0.csv", [(0.0, 1.0), (10.0, 1.0)])
+        r1 = write_trace(tmp_path / "m__r1.csv", [(0.0, 2.0), (10.0, 2.0)])
+        for first, second in ((r0, r0), (r0, r0_again)):
+            code = main(["ingest", first, r1, second, "--trim-k", "0"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert f"{first}, {second}: both are run 'r0' of model 'm'" in captured.err
+        code, out = run_cli(capsys, "ingest", r0, r1, "--trim-k", "0")
+        assert code == 0
+        assert rows_of(out)[-1] == ["m", "trimmed_mean", "15.0"]
+
 
 class TestFit:
     def test_two_point_reference(self, capsys, tmp_path):
@@ -253,6 +271,40 @@ class TestSweep:
     def test_empty_width_range(self, capsys, width4_doc):
         code, _ = run_cli(capsys, "sweep", width4_doc, "--widths", "9..4")
         assert code == 2
+
+    @pytest.mark.parametrize("widths,activations,message", [
+        ("0..2", "sigmoid", "--widths '0..2': widths must be >= 1"),
+        ("0", "sigmoid", "--widths '0': widths must be >= 1"),
+        ("-3..4", "sigmoid", "--widths '-3..4': widths must be >= 1"),
+        ("9..4", "sigmoid", "--widths '9..4': the range is empty"),
+        ("4..x", "sigmoid", "--widths '4..x': expected 'a..b'"),
+        ("4..6", "sigmoid,tanh,sigmoid", "--activations 'sigmoid,tanh,sigmoid': "
+                                         "an activation is named twice"),
+        ("4..6", " , ", "--activations: the list is empty"),
+        ("4..6", "sigmoid,foo", "--activations 'sigmoid,foo': 'foo' is not a valid"),
+        # Checked from the bounds alone: no list of 10**12 widths is built.
+        ("1..1000000000000", "sigmoid", "--widths '1..1000000000000' with 1 "
+                                        "activation(s) makes 1000000000000 models"),
+    ])
+    def test_bad_family_exits_2_naming_the_flag(self, capsys, width4_doc, widths,
+                                                activations, message):
+        code = main(["sweep", width4_doc, f"--widths={widths}", "--activations", activations])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err, captured.err
+
+    def test_family_size_is_widths_times_activations(self, capsys, width4_doc,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli, "MAX_FAMILY", 6)
+        code, out = run_cli(capsys, "sweep", width4_doc, "--widths", "1..3",
+                            "--activations", "sigmoid,tanh")
+        assert code == 0
+        assert len(rows_of(out)) == 1 + 6
+        code = main(["sweep", width4_doc, "--widths", "1..3",
+                     "--activations", "sigmoid,tanh,gelu"])
+        assert code == 2
+        assert "makes 9 models; a sweep takes at most 6" in capsys.readouterr().err
 
     def test_predictions_column_with_fitted_model(self, capsys, width4_doc, eq_fitted):
         code, out = run_cli(capsys, "sweep", width4_doc, "--widths", "4..5",

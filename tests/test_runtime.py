@@ -91,3 +91,26 @@ def test_demo_runs_with_numpy_blocked(demo):
                       "runpy.run_path(sys.argv[1], run_name='__main__')\n",
                       str(demo))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_loads_no_submodule():
+    proc = run_python("import sys\n"
+                      "import transistor_ops\n"
+                      "print(' '.join(m for m in sys.modules\n"
+                      "               if m.startswith('transistor_ops.')))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_submodules_resolve_as_attributes_on_first_use():
+    proc = run_python("import transistor_ops\n"
+                      "print(transistor_ops.circuits.analyze.__module__)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["transistor_ops.circuits"]
+
+
+def test_dir_lists_every_public_name():
+    names = dir(transistor_ops)
+    assert set(transistor_ops.__all__) <= set(names)
+    assert transistor_ops.__all__ == sorted(transistor_ops.__all__)
+    assert all(hasattr(transistor_ops, name) for name in transistor_ops.__all__)

@@ -33,7 +33,6 @@ from transistor_ops import (
     analyze,
     count_model,
     error_metrics,
-    flops_model,
 )
 from transistor_ops.circuits import fp_cost_vector
 from transistor_ops.energy import parse_adapter
@@ -163,8 +162,6 @@ def test_plain_records_are_tuples():
     profile = analyze(model, AnalysisLevel.TRAINING)
     tally = transistor_ops.run_training_step(model, [0.3] * 4, [0.5])
     records = [report, report.layers[0], profile, profile.per_run,
-               flops_model(model, AnalysisLevel.TRAINING),
-               flops_model(model, AnalysisLevel.TRAINING).per_run,
                error_metrics([1.0], [2.0]),
                parse_adapter('{"time_column": "t", "power_column": "p"}'), tally]
     for record in records:
