@@ -10,35 +10,41 @@ from transistor_ops import (
     FullyConnected,
     Loss,
     ModelSpec,
-    count_activation,
-    count_backprop,
-    count_forward,
-    count_loss,
     count_model,
 )
+
+
+def census(*layers, level=AnalysisLevel.INFERENCE):
+    """The per-layer census of a model made of ``layers``."""
+    return count_model(ModelSpec("demo", FP32, layers), level).layers
+
 
 # A single dense layer: 4 inputs, 5 sigmoid units.
 # The linear part costs I*O multiplies and I*O adds (accumulation plus
 # bias); each sigmoid adds one sub, one exp (root slot), one add, one div.
 layer = FullyConnected(4, 5, Activation.SIGMOID)
-print("dense 4->5 sigmoid, forward:", count_forward(layer).as_tuple())
+print("dense 4->5 sigmoid, forward:", census(layer)[0].forward.as_tuple())
 
-# Activation menus, per unit. Note tanh and gelu differ by a single sub.
+# Activation menus, per unit: a 1->1 layer's forward census less that of
+# the bare linear layer. Note tanh and gelu differ by a single sub.
+bare = census(FullyConnected(1, 1, Activation.NONE))[0].forward.as_tuple()
 for act in Activation:
-    print(f"  {act.value:8s} per unit:", count_activation(act, 1).as_tuple())
+    ops = census(FullyConnected(1, 1, act))[0].forward.as_tuple()
+    print(f"  {act.value:8s} per unit:", tuple(n - b for n, b in zip(ops, bare)))
 
 # A convolution counts the same way: every output window element does
 # c_in * k^2 multiply-accumulates, then its activation.
 conv = Convolutional(2, 3, 1, 2, Activation.GELU)
-print("conv m=2 k=3 cin=1 cout=2 gelu, forward:", count_forward(conv).as_tuple())
+print("conv m=2 k=3 cin=1 cout=2 gelu, forward:", census(conv)[0].forward.as_tuple())
 
 # Backprop is dearer than forward: derivative construction, weight and
 # bias gradient accumulation, and (except at the first layer) the
 # input-delta pass back to the previous layer.
-print("dense 4->5 sigmoid, backprop (hidden):",
-      count_backprop(layer, is_first_layer=False).as_tuple())
+training = AnalysisLevel.TRAINING
+hidden = census(FullyConnected(4, 4, Activation.SIGMOID), layer, level=training)[1]
+print("dense 4->5 sigmoid, backprop (hidden):", hidden.backprop.as_tuple())
 print("dense 4->5 sigmoid, backprop (first): ",
-      count_backprop(layer, is_first_layer=True).as_tuple())
+      census(layer, level=training)[0].backprop.as_tuple())
 
 # Whole model: 4 inputs, three hidden layers of width 4, one output.
 model = ModelSpec(

@@ -8,21 +8,20 @@ import statistics
 
 from transistor_ops import (
     ColumnAdapter,
-    PowerTrace,
     integrate_power,
+    trace_samples,
     trimmed_mean,
 )
-from transistor_ops.energy import parse_power_trace
 
-# Hand-built traces first. Constant 10 W for 5 s is 50 J; a linear ramp
-# 0 -> 10 W over 10 s is also 50 J, and the trapezoid rule gets both
-# exactly because power is piecewise linear.
-print("rectangle:", integrate_power(PowerTrace((0.0, 5.0), (10.0, 10.0))), "J")
-print("triangle: ", integrate_power(PowerTrace((0.0, 10.0), (0.0, 10.0))), "J")
+# Hand-built (seconds, watts) samples first. Constant 10 W for 5 s is
+# 50 J; a linear ramp 0 -> 10 W over 10 s is also 50 J, and the trapezoid
+# rule gets both exactly because power is piecewise linear.
+print("rectangle:", integrate_power([(0.0, 10.0), (5.0, 10.0)]), "J")
+print("triangle: ", integrate_power([(0.0, 0.0), (10.0, 10.0)]), "J")
 
 # The canonical on-disk format is a two-column CSV.
 canonical = "elapsed_s,power_w\n0.0,1\n1.0,3\n2.0,1\n"
-print("polyline: ", integrate_power(parse_power_trace(canonical)), "J")
+print("polyline: ", integrate_power(trace_samples(canonical)), "J")
 
 # Vendor logs rarely match the canonical layout; a column adapter maps
 # a timestamp column (with its format) and a power column onto it.
@@ -33,8 +32,8 @@ vendor = ("System Time,CPU Utilization(%),IA Power_0(Watt)\n"
 adapter = ColumnAdapter(time_column="System Time",
                         power_column="IA Power_0(Watt)",
                         time_format="%H:%M:%S:%f")
-trace = parse_power_trace(vendor, adapter)
-print("vendor log:", f"{integrate_power(trace):.2f} J over {trace.times[-1]:.0f} s")
+samples = list(trace_samples(vendor, adapter))
+print("vendor log:", f"{integrate_power(samples):.2f} J over {samples[-1][0]:.0f} s")
 
 # Sixty noisy repetitions of the same nominal run: average after
 # dropping the five highest and five lowest readings. Spikes from

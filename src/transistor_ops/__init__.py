@@ -16,15 +16,13 @@ __version__ = "0.1.0"
 # The public names, by the module that defines them.
 _EXPORTS = {
     "basic_ops": ("BasicOpCounts", "LayerBoProfile", "ModelBoReport", "UnsupportedError",
-                  "count_activation", "count_backprop", "count_forward", "count_loss",
-                  "count_model", "count_update"),
+                  "count_model"),
     "circuits": ("CostTable", "DEFAULT_COST_TABLE", "OpKind", "PhaseTos", "ScaledUnitRef",
                  "ToProfile", "adder_tos", "analyze", "fp_op_tos", "load_cost_table",
                  "parse_cost_table", "scaled_unit_tos", "tos_from_bos"),
     "energy": ("ColumnAdapter", "DegenerateFitError", "EnergySample", "ErrorReport",
-               "LinearModel", "PowerTrace", "TraceError", "error_metrics", "fit",
-               "integrate_power", "read_power_trace", "trace_samples", "tradeoff_select",
-               "trimmed_mean"),
+               "LinearModel", "TraceError", "error_metrics", "fit", "integrate_power",
+               "read_power_trace", "trace_samples", "tradeoff_select", "trimmed_mean"),
     "flops": ("flops_model",),
     "model": ("Activation", "AnalysisLevel", "Convolutional", "FLOAT_FORMATS", "FP16",
               "FP32", "FP64", "FloatFormat", "FullyConnected", "LayerSpec", "Loss",

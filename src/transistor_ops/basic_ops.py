@@ -65,15 +65,6 @@ class BasicOpCounts(Value):
     def __add__(self, other: "BasicOpCounts") -> "BasicOpCounts":
         return BasicOpCounts(*_total((self.as_tuple(), other.as_tuple())))
 
-    def __mul__(self, factor: int) -> "BasicOpCounts":
-        if isinstance(factor, bool) or not isinstance(factor, int):
-            raise ValueError(f"scale factor must be an int, got {factor!r}")
-        if factor < 0:
-            raise ValueError(f"scale factor must be non-negative, got {factor}")
-        return BasicOpCounts(*_scaled(self.as_tuple(), factor))
-
-    __rmul__ = __mul__
-
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.n_add, self.n_sub, self.n_mul, self.n_div, self.n_root)
 
@@ -158,39 +149,6 @@ def _loss(output_layer: LayerSpec, loss: Loss) -> Counts:
     return (units - 1, units, units, 1, 0)
 
 
-def count_activation(act: Activation, units: int) -> BasicOpCounts:
-    """Forward activation ops for ``units`` activated values."""
-    if units < 0:
-        raise ValueError(f"units must be non-negative, got {units}")
-    return BasicOpCounts(*_scaled(_ACT_FORWARD[act], units))
-
-
-def count_forward(layer: LayerSpec) -> BasicOpCounts:
-    """Per-instance forward ops for one layer."""
-    return BasicOpCounts(*_forward(layer)[0])
-
-
-def count_loss(output_layer: LayerSpec, loss: Loss) -> BasicOpCounts:
-    """Per-instance loss ops over the output layer's units."""
-    return BasicOpCounts(*_loss(output_layer, loss))
-
-
-def count_backprop(layer: LayerSpec, is_first_layer: bool) -> BasicOpCounts:
-    """Per-instance backprop ops for one layer."""
-    if not isinstance(layer, FullyConnected):
-        raise UnsupportedError("backpropagation counting is defined for "
-                               "fully-connected layers only")
-    return BasicOpCounts(*_backprop(layer, is_first_layer)[0])
-
-
-def count_update(layer: LayerSpec) -> BasicOpCounts:
-    """Per-batch-step SGD update ops for one layer."""
-    if not isinstance(layer, FullyConnected):
-        raise UnsupportedError("update counting is defined for "
-                               "fully-connected layers only")
-    return BasicOpCounts(*_update(layer))
-
-
 def census(model: ModelSpec, level: AnalysisLevel
            ) -> tuple[list[tuple[Counts, Counts, Counts]], Counts, Counts, Counts]:
     """The model's census at ``level`` as int tuples: the per-layer
@@ -232,9 +190,7 @@ class ModelBoReport(NamedTuple):
     ``per_instance`` aggregates the per-instance phases the level
     includes; ``per_run`` scales those by dataset_len * epochs and, at
     training level, adds the update census times the total number of
-    optimizer steps. ``nonlinear_per_run`` covers everything a
-    multiply-accumulate-only count ignores: activations, activation
-    derivatives, the loss, and parameter updates.
+    optimizer steps.
     """
 
     layers: tuple[LayerBoProfile, ...]
@@ -242,12 +198,11 @@ class ModelBoReport(NamedTuple):
     update_per_batch: BasicOpCounts
     per_instance: BasicOpCounts
     per_run: BasicOpCounts
-    nonlinear_per_run: BasicOpCounts
 
 
 def count_model(model: ModelSpec, level: AnalysisLevel) -> ModelBoReport:
     """Run the census over every layer and aggregate it for ``level``."""
-    layers, loss, update, nonlinear = census(model, level)
+    layers, loss, update, _ = census(model, level)
     per_instance = _total([phase for layer in layers for phase in layer[:2]] + [loss])
     return ModelBoReport(
         layers=tuple(LayerBoProfile(*(BasicOpCounts(*phase) for phase in layer))
@@ -256,5 +211,4 @@ def count_model(model: ModelSpec, level: AnalysisLevel) -> ModelBoReport:
         update_per_batch=BasicOpCounts(*update),
         per_instance=BasicOpCounts(*per_instance),
         per_run=BasicOpCounts(*scale_to_run(per_instance, update, model)),
-        nonlinear_per_run=BasicOpCounts(*scale_to_run(nonlinear, update, model)),
     )

@@ -39,11 +39,10 @@ from .energy import (
     error_metrics,
     finite_float,
     fit,
-    integrate_power,
     load_adapter,
     load_linear_model,
+    read_power_trace,
     read_table,
-    trace_samples,
     tradeoff_select,
     trimmed_mean,
     write_energy_samples,
@@ -70,6 +69,9 @@ EXIT_UNSUPPORTED = 3
 # The most models (widths x activations) one sweep builds.
 MAX_FAMILY = 10_000
 
+# The run id of each model's aggregate row in the `ingest` table.
+AGGREGATE_RUN = "trimmed_mean"
+
 
 def _fmt(value: float, raw: bool) -> str:
     """The only number formatter: no non-finite value reaches the output."""
@@ -81,12 +83,13 @@ def _fmt(value: float, raw: bool) -> str:
 
 @contextmanager
 def _naming(path: str, model_id: str):
-    """Put the input file and the model id in front of an overflow or a
-    non-finite result raised while a model's numbers are computed or printed."""
+    """Put the input file and the model id in front of an unsupported
+    configuration, an overflow or a non-finite result raised while a model's
+    numbers are computed or printed; each keeps its exit code."""
     try:
         yield
-    except UnsupportedError:
-        raise
+    except UnsupportedError as e:
+        raise UnsupportedError(f"{path}: model {model_id!r}: {e}") from None
     except OverflowError:
         raise OverflowError(f"{path}: model {model_id!r}: "
                             f"the workload overflows a float") from None
@@ -177,7 +180,8 @@ def _counts_row(counts: BasicOpCounts) -> list[str]:
 def cmd_count(args) -> int:
     model = _load_model(args.model, None)
     level = AnalysisLevel(args.level)
-    report = count_model(model, level)
+    with _naming(args.model, model.name):
+        report = count_model(model, level)
     rows = [["scope", "layer", "phase", "n_add", "n_sub", "n_mul", "n_div", "n_root"]]
     for index, profile in enumerate(report.layers, start=1):
         rows.append(["per_instance", str(index), "forward"] + _counts_row(profile.forward))
@@ -225,11 +229,18 @@ def cmd_tos(args) -> int:
 
 
 def _trace_identity(path: str) -> tuple[str, str]:
-    stem = Path(path).stem
-    if "__" in stem:
-        model_id, run_id = stem.split("__", 1)
-        return model_id, run_id
-    return stem, "run0"
+    """(model id, run id) from a ``<model>__<run>.csv`` file name; a name
+    without ``__`` is run ``run0`` of the model its stem names."""
+    model_id, sep, run_id = Path(path).stem.partition("__")
+    if not sep:
+        return model_id, "run0"
+    if not (model_id and run_id):
+        raise ValueError(f"{path}: the {'run' if model_id else 'model'} id is empty; "
+                         f"name a trace file <model>__<run>.csv")
+    if run_id == AGGREGATE_RUN:
+        raise ValueError(f"{path}: the run id {AGGREGATE_RUN!r} is reserved "
+                         f"for the aggregate row")
+    return model_id, run_id
 
 
 def cmd_ingest(args) -> int:
@@ -243,8 +254,7 @@ def cmd_ingest(args) -> int:
         if run_id in runs:
             raise ValueError(f"{runs[run_id][0]}, {path}: both are run {run_id!r} "
                              f"of model {model_id!r}")
-        runs[run_id] = path, read_document(
-            path, lambda fh: integrate_power(trace_samples(fh, adapter)))
+        runs[run_id] = path, read_power_trace(path, adapter)
     samples, aggregated = [], []
     for model_id, runs in sorted(runs_of.items()):
         samples += [EnergySample(model_id, run_id, joules)
@@ -254,7 +264,7 @@ def cmd_ingest(args) -> int:
             mean = trimmed_mean(values, args.trim_k)
         except ValueError as e:
             raise ValueError(f"{', '.join(paths)}: model {model_id!r}: {e}") from None
-        aggregated.append(EnergySample(model_id, "trimmed_mean", mean))
+        aggregated.append(EnergySample(model_id, AGGREGATE_RUN, mean))
     _emit(write_energy_samples(samples + aggregated), args.out)
     return EXIT_OK
 
@@ -349,7 +359,8 @@ def cmd_sweep(args) -> int:
     level = AnalysisLevel(args.level)
     table = _load_table(args.cost_table)
     lr = load_linear_model(args.fitted_model) if args.fitted_model else None
-    members = iter(model_family(base, widths, activations))
+    with _naming(args.base, base.name):
+        members = iter(model_family(base, widths, activations))
     rows = [["width", "activation", "tos", "macs", "flops", "predicted_j"]]
     svg_points: dict[str, list[tuple[float, float]]] = {}
     for width in widths:
@@ -421,10 +432,11 @@ def cmd_tradeoff(args) -> int:
 def cmd_oracle(args) -> int:
     from .oracle import default_inputs, default_weights, run_training_step
     model = _load_model(args.model, None)
-    weights = default_weights(model, args.seed)
-    inputs = default_inputs(model, args.seed)
-    targets = [0.5] * model.layers[-1].output_units
-    tally = run_training_step(model, inputs, targets, weights=weights)
+    with _naming(args.model, model.name):
+        weights = default_weights(model, args.seed)
+        inputs = default_inputs(model, args.seed)
+        targets = [0.5] * model.layers[-1].output_units
+        tally = run_training_step(model, inputs, targets, weights=weights)
     rows = [["segment", "n_add", "n_sub", "n_mul", "n_div", "n_root"]]
     rows.append(["forward"] + _counts_row(tally.forward))
     rows.append(["loss"] + _counts_row(tally.loss))

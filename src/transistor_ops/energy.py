@@ -125,27 +125,6 @@ def _sample_index(i: int) -> str:
     return f"sample index {i}"
 
 
-class PowerTrace(Value):
-    """Time-stamped instantaneous power samples, held in memory for
-    library callers; iterating yields the (seconds, watts) pairs.
-
-    Times are seconds and strictly increasing; power is watts and
-    non-negative; at least two samples are required.
-    """
-
-    __slots__ = ("times", "watts")
-
-    def __init__(self, times: tuple[float, ...], watts: tuple[float, ...]) -> None:
-        if len(times) != len(watts):
-            raise TraceError("times and watts differ in length")
-        times, watts = zip(*_checked(zip(times, watts), _sample_index))
-        _set(self, "times", times)
-        _set(self, "watts", watts)
-
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return zip(self.times, self.watts)
-
-
 def _sum(terms: Iterable[float]) -> float:
     """Exactly rounded sum (``math.fsum``); NaN where it overflows."""
     try:
@@ -232,15 +211,11 @@ def trace_samples(source: str | IO[str],
     return _checked(reader, lambda i: f"row {reader.line_num}", ti, pi, seconds, width)
 
 
-def parse_power_trace(source: str | IO[str],
-                      adapter: ColumnAdapter | None = None) -> PowerTrace:
-    """Read a whole trace CSV into a :class:`PowerTrace`; see
-    :func:`trace_samples`."""
-    return PowerTrace(*zip(*trace_samples(source, adapter)))
-
-
-def read_power_trace(path, adapter: ColumnAdapter | None = None) -> PowerTrace:
-    return read_document(path, lambda fh: parse_power_trace(fh, adapter))
+def read_power_trace(path, adapter: ColumnAdapter | None = None) -> float:
+    """Energy in joules of the trace file at ``path``: its samples streamed
+    through :func:`trace_samples` into :func:`integrate_power`. Errors
+    name the file."""
+    return read_document(path, lambda fh: integrate_power(trace_samples(fh, adapter)))
 
 
 def trimmed_mean(samples: Sequence[float], k: int = 5) -> float:

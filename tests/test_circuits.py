@@ -210,6 +210,28 @@ class TestAnalyze:
         assert profile.per_instance.loss > 0.0
 
 
+# Activation ops per unit, (add, sub, mul, div, root): forward, and the
+# backprop delta-scale multiply plus derivative construction.
+ACT_FORWARD = {Activation.NONE: (0, 0, 0, 0, 0), Activation.SIGMOID: (1, 1, 0, 1, 1),
+               Activation.GELU: (1, 1, 2, 1, 1), Activation.TANH: (1, 2, 2, 1, 1)}
+ACT_BACKWARD = {Activation.NONE: (0, 0, 1, 0, 0), Activation.SIGMOID: (0, 1, 2, 0, 0),
+                Activation.TANH: (0, 1, 2, 0, 0), Activation.GELU: (0, 2, 5, 1, 1)}
+
+
+def nonlinear_run_census(model, level, report):
+    """What a MAC count misses over one run: activation (and, in training,
+    derivative) ops times each layer's units plus the loss, per instance,
+    and the parameter updates per optimizer step."""
+    tables = (ACT_FORWARD, ACT_BACKWARD) if level.includes_backprop else (ACT_FORWARD,)
+    per_instance = list(report.loss.as_tuple())
+    for layer in model.layers:
+        for table in tables:
+            for j, n in enumerate(table[layer.activation]):
+                per_instance[j] += n * layer.output_units
+    return BasicOpCounts(*(n * model.instances_per_run + u * model.steps_per_run
+                           for n, u in zip(per_instance, report.update_per_batch.as_tuple())))
+
+
 def lowered_report(model, level, table):
     """Lower the ``count_model`` report with ``tos_from_bos``, in the order
     the lowering has always summed: each layer's census vector, then the
@@ -230,7 +252,7 @@ def lowered_report(model, level, table):
     per_step = PhaseTos(per_run.forward * step, per_run.backprop * step,
                         per_run.loss * step, per_run.update * step)
     total = per_run.total
-    share = lower(report.nonlinear_per_run) / total if total > 0 else 0.0
+    share = lower(nonlinear_run_census(model, level, report)) / total if total > 0 else 0.0
     return ToProfile(layer_forward, layer_backprop, update, per_instance, per_run,
                      per_step, share)
 

@@ -407,6 +407,12 @@ class TestOracleCommand:
 
 
 FITTED = '{"intercept_j": 1.0, "slope_j_per_to": 1.0, "r_squared": 1.0, "n_points": 2}'
+TRACE = "elapsed_s,power_w\n0,1\n1,1\n"
+# A conv + FC model: forward levels only, and no width family.
+CONV_DOC = json.dumps(dict(model_doc([8, 1]), layers=[
+    {"kind": "convolutional", "out_width": 2, "kernel": 3, "in_channels": 1,
+     "out_channels": 2, "activation": "gelu"},
+    {"kind": "fully_connected", "inputs": 8, "outputs": 1, "activation": "sigmoid"}]))
 
 # name -> (files to write, argv with {file names} filled in, the file the
 # error must name, where in that file the bad value sits)
@@ -492,6 +498,20 @@ BAD_INPUTS = {
          "big_tos.csv": "model_id,tos\nx,1e300\n"},
         ["estimate", "--tos-file", "{big_tos.csv}", "--fitted", "{steep.json}"],
         "big_tos.csv", "model 'x'"),
+    "empty-model-id-trace": ({"__r0.csv": TRACE, "m__r1.csv": TRACE},
+                             ["ingest", "{m__r1.csv}", "{__r0.csv}", "--trim-k", "0"],
+                             "__r0.csv", "the model id is empty"),
+    "empty-run-id-trace": ({"m__.csv": TRACE}, ["ingest", "{m__.csv}", "--trim-k", "0"],
+                           "m__.csv", "the run id is empty"),
+    "reserved-run-id-trace": (
+        {"m__trimmed_mean.csv": TRACE, "m__r1.csv": TRACE},
+        ["ingest", "{m__trimmed_mean.csv}", "{m__r1.csv}", "--trim-k", "0"],
+        "m__trimmed_mean.csv", "run id 'trimmed_mean' is reserved"),
+    "sweep-conv-base": ({"conv.json": CONV_DOC}, ["sweep", "{conv.json}", "--widths", "2..3"],
+                        "conv.json", "model 'm': family generation is defined"),
+    "sweep-one-layer-base": ({"one.json": json.dumps(model_doc([4, 1]))},
+                             ["sweep", "{one.json}", "--widths", "2..3"],
+                             "one.json", "model 'm': base model needs at least one hidden"),
     "overflowing-compare-error": (
         {"tos_pred.csv": "model_id,predicted_j\na,-1e308\n",
          "flops_pred.csv": "model_id,predicted_j\na,1e308\n",
@@ -532,6 +552,27 @@ def test_count_is_exact_past_the_float_range(capsys, tmp_path):
     steps = -(-dataset_len // batch_size) * epochs
     assert counts("per_run", "total") == [[i * dataset_len * epochs + u * steps
                                            for i, u in zip(per_instance, updates)]]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["count", "--level", "training"], "training-level analysis requires"),
+    (["tos", "--level", "training"], "training-level analysis requires"),
+    (["estimate", "--fitted", "{fitted}", "--level", "training"],
+     "training-level analysis requires"),
+    (["oracle"], "the scalar executor supports"),
+], ids=["count", "tos", "estimate", "oracle"])
+def test_unsupported_model_exits_3_naming_file_and_model(argv, message, capsys, tmp_path):
+    path = tmp_path / "conv.json"
+    path.write_text(CONV_DOC)
+    fitted = tmp_path / "fitted.json"
+    fitted.write_text(FITTED)
+    command, *options = argv
+    code = main([command, str(path)] + [str(fitted) if a == "{fitted}" else a
+                                        for a in options])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"{path}: model 'm': {message}" in captured.err, captured.err
 
 
 @pytest.mark.parametrize("content,message", [

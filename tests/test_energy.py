@@ -12,11 +12,11 @@ from transistor_ops import (
     ErrorReport,
     LinearModel,
     ParseError,
-    PowerTrace,
     TraceError,
     error_metrics,
     fit,
     integrate_power,
+    trace_samples,
     tradeoff_select,
     trimmed_mean,
 )
@@ -24,7 +24,6 @@ from transistor_ops.cli import main
 from transistor_ops.energy import (
     finite_float,
     parse_adapter,
-    parse_power_trace,
     read_linear_model,
     read_table,
     write_energy_samples,
@@ -34,28 +33,25 @@ from transistor_ops.energy import (
 
 class TestIntegration:
     def test_constant_power_rectangle(self):
-        trace = PowerTrace((0.0, 5.0), (10.0, 10.0))
-        assert integrate_power(trace) == 50.0
+        assert integrate_power([(0.0, 10.0), (5.0, 10.0)]) == 50.0
 
     def test_linear_ramp_triangle(self):
-        trace = PowerTrace((0.0, 10.0), (0.0, 10.0))
-        assert integrate_power(trace) == 50.0
+        assert integrate_power([(0.0, 0.0), (10.0, 10.0)]) == 50.0
 
     def test_two_trapezoids(self):
-        trace = PowerTrace((0.0, 1.0, 2.0), (1.0, 3.0, 1.0))
-        assert integrate_power(trace) == 4.0
+        assert integrate_power([(0.0, 1.0), (1.0, 3.0), (2.0, 1.0)]) == 4.0
 
     def test_needs_two_samples(self):
         with pytest.raises(TraceError, match="at least 2"):
-            PowerTrace((0.0,), (1.0,))
+            integrate_power([(0.0, 1.0)])
 
     def test_non_monotone_time_names_the_index(self):
         with pytest.raises(TraceError, match="index 2"):
-            PowerTrace((0.0, 1.0, 0.5), (1.0, 1.0, 1.0))
+            integrate_power(zip((0.0, 1.0, 0.5), (1.0, 1.0, 1.0)))
 
     def test_negative_power_names_the_index(self):
         with pytest.raises(TraceError, match="index 1"):
-            PowerTrace((0.0, 1.0), (1.0, -0.1))
+            integrate_power(zip((0.0, 1.0), (1.0, -0.1)))
 
     @pytest.mark.parametrize("times,watts", [
         ((0.0, math.nan, 2.0), (1.0, 1.0, 1.0)),
@@ -66,7 +62,7 @@ class TestIntegration:
     def test_non_finite_sample_names_the_index(self, times, watts):
         bad = next(i for i in range(3) if not math.isfinite(times[i] + watts[i]))
         with pytest.raises(TraceError, match=f"index {bad}"):
-            PowerTrace(times, watts)
+            integrate_power(zip(times, watts))
 
     @pytest.mark.parametrize("times,watts", [
         ((0.0, 10.0), (1e308, 1e308)),
@@ -75,7 +71,7 @@ class TestIntegration:
     ])
     def test_overflowing_energy_rejected(self, times, watts):
         with pytest.raises(TraceError, match="overflows"):
-            integrate_power(PowerTrace(times, watts))
+            integrate_power(zip(times, watts))
 
     # Library callers may pass any (seconds, watts) pairs; integrate_power
     # checks them under the trace rules and names the sample index.
@@ -108,15 +104,15 @@ class TestIntegration:
             while len(set(times)) != n:
                 times = sorted(rng.uniform(0, 100) for _ in range(n))
             watts = [rng.uniform(0, 50) for _ in range(n)]
-            trace = PowerTrace(tuple(times), tuple(watts))
             # independent reduction: per-segment closed form, fsum order
             want = math.fsum(
                 (times[i + 1] - times[i]) * (watts[i] + watts[i + 1]) / 2.0
                 for i in range(n - 1)
             )
-            assert integrate_power(trace) == want
-            assert integrate_power(trace) == pytest.approx(want, rel=1e-12)
-            assert integrate_power(trace) == pytest.approx(
+            got = integrate_power(zip(times, watts))
+            assert got == want
+            assert got == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(
                 float(np.trapezoid(watts, times)), rel=1e-12)
 
 
@@ -352,16 +348,16 @@ class TestReadTable:
 
 class TestTraceParsing:
     def test_canonical_layout(self):
-        trace = parse_power_trace("elapsed_s,power_w\n0.0,10\n5.0,10\n")
-        assert integrate_power(trace) == 50.0
+        samples = trace_samples("elapsed_s,power_w\n0.0,10\n5.0,10\n")
+        assert integrate_power(samples) == 50.0
 
     def test_missing_column(self):
         with pytest.raises(TraceError, match="power_w"):
-            parse_power_trace("elapsed_s,watts\n0,1\n1,1\n")
+            list(trace_samples("elapsed_s,watts\n0,1\n1,1\n"))
 
     def test_bad_row_reports_its_number(self):
         with pytest.raises(TraceError, match="row 3"):
-            parse_power_trace("elapsed_s,power_w\n0.0,1\nx,1\n")
+            list(trace_samples("elapsed_s,power_w\n0.0,1\nx,1\n"))
 
     def test_vendor_adapter_with_clock_timestamps(self):
         text = ("System Time,IA Power\n"
@@ -369,9 +365,9 @@ class TestTraceParsing:
                 "12:00:02:500,10\n"
                 "12:00:05:000,10\n")
         adapter = ColumnAdapter("System Time", "IA Power", "%H:%M:%S:%f")
-        trace = parse_power_trace(text, adapter)
-        assert trace.times == (0.0, 2.5, 5.0)
-        assert integrate_power(trace) == 50.0
+        samples = list(trace_samples(text, adapter))
+        assert samples == [(0.0, 10.0), (2.5, 10.0), (5.0, 10.0)]
+        assert integrate_power(samples) == 50.0
 
     def test_ingest_streams_a_long_trace_in_constant_memory(self, tmp_path, capsys):
         n = 100_000

@@ -13,6 +13,8 @@ from conftest import model_doc, write_model_doc
 
 SRC = str(Path(transistor_ops.__file__).resolve().parents[1])
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+# Each demo's stdout, byte for byte, as an earlier version printed it.
+DEMO_EXPECTED = Path(__file__).parent / "demo_expected"
 
 
 def run_python(code, *args):
@@ -91,6 +93,7 @@ def test_demo_runs_with_numpy_blocked(demo):
                       "runpy.run_path(sys.argv[1], run_name='__main__')\n",
                       str(demo))
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.encode("utf-8") == (DEMO_EXPECTED / f"{demo.stem}.txt").read_bytes()
 
 
 def test_package_import_loads_no_submodule():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transistor_ops.cli import main
-from transistor_ops.energy import TraceError, integrate_power, parse_power_trace
+from transistor_ops.energy import TraceError, integrate_power, trace_samples
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -69,7 +69,7 @@ def test_valid_trace_integrates_to_the_fsum_reference(trace):
     samples, text, _, _ = trace
     want = reference_energy(samples)
     assert ingest_joules(text) == want
-    assert integrate_power(parse_power_trace(text)) == want
+    assert integrate_power(trace_samples(text)) == want
 
 
 @SETTINGS
@@ -92,4 +92,4 @@ def test_one_corrupt_row_is_named_by_its_line(trace, corruption, data):
         cells = cells[:max(ti, pi)]
     lines[line_of[k] - 1] = ",".join(cells)
     with pytest.raises(TraceError, match=rf"^row {line_of[k]}: "):
-        parse_power_trace("\n".join(lines) + "\n")
+        list(trace_samples("\n".join(lines) + "\n"))

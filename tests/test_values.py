@@ -1,6 +1,6 @@
 """Semantics of the package's value classes and plain records.
 
-The ten validated classes share one base (``transistor_ops.model.Value``):
+The nine validated classes share one base (``transistor_ops.model.Value``):
 equality and hashing by fields within one class, no assignment, and a
 ``_replace`` that validates the copy again. The plain records are
 ``NamedTuple``s, so they are tuples and compare equal to tuples.
@@ -26,9 +26,7 @@ from transistor_ops import (
     FullyConnected,
     LinearModel,
     ModelSpec,
-    PowerTrace,
     ScaledUnitRef,
-    TraceError,
     ValidationError,
     analyze,
     count_model,
@@ -54,8 +52,6 @@ VALUES = {
     ScaledUnitRef: (lambda: ScaledUnitRef(64, 90_000.0), {"bits": 0}, ValueError),
     CostTable: (lambda: CostTable(fa_transistors=12.0), {"newton_iterations": 0},
                 ValueError),
-    PowerTrace: (lambda: PowerTrace((0.0, 1.0), (2.0, 3.0)), {"watts": (2.0, -3.0)},
-                 TraceError),
     EnergySample: (lambda: EnergySample("m", "r", 1.5), {"joules": math.nan}, ValueError),
     LinearModel: (lambda: LinearModel(1.0, 2.0, 0.5, 3), {"r_squared": 2.0}, ValueError),
 }
@@ -74,8 +70,6 @@ def _other(field):
     """A different value of the same kind, valid for every first field."""
     if isinstance(field, str):
         return field + "x"
-    if isinstance(field, tuple):
-        return tuple(x + 1.0 for x in field)
     return field + 1
 
 
