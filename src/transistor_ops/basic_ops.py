@@ -35,12 +35,11 @@ from typing import Iterable, NamedTuple
 from .model import (
     Activation,
     AnalysisLevel,
+    FieldError,
     FullyConnected,
     LayerSpec,
-    Loss,
     ModelSpec,
     Value,
-    _set,
 )
 
 
@@ -55,12 +54,13 @@ class BasicOpCounts(Value):
 
     def __init__(self, n_add: int = 0, n_sub: int = 0, n_mul: int = 0,
                  n_div: int = 0, n_root: int = 0) -> None:
-        for name, value in zip(self.__slots__, (n_add, n_sub, n_mul, n_div, n_root)):
+        counts = (n_add, n_sub, n_mul, n_div, n_root)
+        for name, value in zip(self.__slots__, counts):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+                raise FieldError(f"{name}: expected an integer, got {value!r}")
             if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-            _set(self, name, value)
+                raise FieldError(f"{name}: must be non-negative, got {value}")
+        self._fill(*counts)
 
     def __add__(self, other: "BasicOpCounts") -> "BasicOpCounts":
         return BasicOpCounts(*_total((self.as_tuple(), other.as_tuple())))
@@ -140,11 +140,9 @@ def _update(layer: FullyConnected) -> Counts:
     return (0, params, params, 0, 0)
 
 
-def _loss(output_layer: LayerSpec, loss: Loss) -> Counts:
-    """MSE over O outputs: O subtractions, O squarings, O-1 accumulation
-    adds and one division for the mean."""
-    if loss is not Loss.MSE:
-        raise UnsupportedError(f"unsupported loss kind: {loss!r}")
+def _loss(output_layer: LayerSpec) -> Counts:
+    """MSE, the only loss, over O outputs: O subtractions, O squarings,
+    O-1 accumulation adds and one division for the mean."""
     units = output_layer.output_units
     return (units - 1, units, units, 1, 0)
 
@@ -169,7 +167,7 @@ def census(model: ModelSpec, level: AnalysisLevel
             layers.append((forward, backprop, _update(layer)))
         else:
             layers.append((forward, _ZERO, _ZERO))
-    loss = _loss(model.layers[-1], model.loss) if level.includes_loss else _ZERO
+    loss = _loss(model.layers[-1]) if level.includes_loss else _ZERO
     nonlinear.append(loss)
     update = _total(update for _, _, update in layers)
     return layers, loss, update, _total(nonlinear)

@@ -29,15 +29,15 @@ from typing import NamedTuple
 from .basic_ops import BasicOpCounts, census, scale_to_run
 from .model import (
     AnalysisLevel,
+    FieldError,
     FloatFormat,
     ModelSpec,
-    ParseError,
     Value,
-    _set,
     as_count,
-    as_number,
+    as_positive,
     check_keys,
     parse_json_object,
+    placed,
     read_document,
 )
 
@@ -56,12 +56,7 @@ class ScaledUnitRef(Value):
     __slots__ = ("bits", "transistors")
 
     def __init__(self, bits: int, transistors: float) -> None:
-        if bits < 1:
-            raise ValueError("reference bit width must be >= 1")
-        if transistors <= 0:
-            raise ValueError("reference transistor count must be positive")
-        _set(self, "bits", bits)
-        _set(self, "transistors", transistors)
+        self._fill(as_count(bits, "bits"), as_positive(transistors, "transistors"))
 
 
 class CostTable(Value):
@@ -75,19 +70,14 @@ class CostTable(Value):
                  mult_ref: ScaledUnitRef = ScaledUnitRef(64, 90_000.0),
                  div_ref: ScaledUnitRef = ScaledUnitRef(64, 110_000.0),
                  scaling_exponent: float = 2.0, newton_iterations: int = 3) -> None:
-        for name, value in (("fa_transistors", fa_transistors),
-                            ("ha_transistors", ha_transistors),
-                            ("xor_transistors", xor_transistors)):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
-        if scaling_exponent <= 0:
-            raise ValueError("scaling_exponent must be positive")
-        if newton_iterations < 1:
-            raise ValueError("newton_iterations must be >= 1")
-        for name, value in zip(self.__slots__, (
-                fa_transistors, ha_transistors, xor_transistors, mult_ref, div_ref,
-                scaling_exponent, newton_iterations)):
-            _set(self, name, value)
+        for name, ref in (("mult_ref", mult_ref), ("div_ref", div_ref)):
+            if not isinstance(ref, ScaledUnitRef):
+                raise FieldError(f"{name}: expected a ScaledUnitRef, got {ref!r}")
+        self._fill(as_positive(fa_transistors, "fa_transistors"),
+                   as_positive(ha_transistors, "ha_transistors"),
+                   as_positive(xor_transistors, "xor_transistors"), mult_ref, div_ref,
+                   as_positive(scaling_exponent, "scaling_exponent"),
+                   as_count(newton_iterations, "newton_iterations"))
 
 
 DEFAULT_COST_TABLE = CostTable()
@@ -108,27 +98,18 @@ def parse_cost_table(text: str) -> CostTable:
     check_keys(doc, _TABLE_KEYS, set(), "cost table")
     base = DEFAULT_COST_TABLE
 
-    def get(key, default, read=as_number):
-        return read(doc[key], key) if key in doc else default
+    def ref(prefix: str, default: ScaledUnitRef) -> ScaledUnitRef:
+        return placed(lambda field: f"cost table: {prefix}_{field}", ScaledUnitRef,
+                      doc.get(f"{prefix}_bits", default.bits),
+                      doc.get(f"{prefix}_transistors", default.transistors))
 
-    try:
-        return CostTable(
-            fa_transistors=get("fa", base.fa_transistors),
-            ha_transistors=get("ha", base.ha_transistors),
-            xor_transistors=get("xor", base.xor_transistors),
-            mult_ref=ScaledUnitRef(
-                get("mult_ref_bits", base.mult_ref.bits, as_count),
-                get("mult_ref_transistors", base.mult_ref.transistors),
-            ),
-            div_ref=ScaledUnitRef(
-                get("div_ref_bits", base.div_ref.bits, as_count),
-                get("div_ref_transistors", base.div_ref.transistors),
-            ),
-            scaling_exponent=get("scaling_exponent", base.scaling_exponent),
-            newton_iterations=get("newton_iterations", base.newton_iterations, as_count),
-        )
-    except ValueError as e:
-        raise ParseError(f"cost table: {e}") from None
+    # A key is its field's name without "_transistors": "fa" sets fa_transistors.
+    return placed(lambda field: f"cost table: {field.removesuffix('_transistors')}",
+                  CostTable, doc.get("fa", base.fa_transistors),
+                  doc.get("ha", base.ha_transistors), doc.get("xor", base.xor_transistors),
+                  ref("mult_ref", base.mult_ref), ref("div_ref", base.div_ref),
+                  doc.get("scaling_exponent", base.scaling_exponent),
+                  doc.get("newton_iterations", base.newton_iterations))
 
 
 def load_cost_table(path) -> CostTable:

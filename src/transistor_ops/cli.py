@@ -16,8 +16,6 @@ asks for full precision. Exit codes: 0 success, 2 input or parse error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import sys
@@ -47,6 +45,7 @@ from .energy import (
     trimmed_mean,
     write_energy_samples,
     write_linear_model,
+    write_table,
 )
 from .flops import flops_model
 from .model import (
@@ -166,13 +165,6 @@ def _read_by_id(path: str, column: str) -> dict[str, float]:
     return table
 
 
-def _csv_table(rows: list[list[str]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerows(rows)
-    return out.getvalue()
-
-
 def _counts_row(counts: BasicOpCounts) -> list[str]:
     return [str(n) for n in counts.as_tuple()]
 
@@ -194,7 +186,7 @@ def cmd_count(args) -> int:
         rows.append(["per_instance", "all", "loss"] + _counts_row(report.loss))
     rows.append(["per_instance", "all", "total"] + _counts_row(report.per_instance))
     rows.append(["per_run", "all", "total"] + _counts_row(report.per_run))
-    _emit(_csv_table(rows), args.out)
+    _emit(write_table(rows), args.out)
     return EXIT_OK
 
 
@@ -224,7 +216,7 @@ def cmd_tos(args) -> int:
             rows.append(["per_run", name, _fmt(value, raw)])
         rows.append(["per_step", "total", _fmt(profile.per_step.total, raw)])
         rows.append(["all", "nonlinear_share", _fmt(profile.nonlinear_share, raw)])
-    _emit(_csv_table(rows), args.out)
+    _emit(write_table(rows), args.out)
     return EXIT_OK
 
 
@@ -303,7 +295,8 @@ def cmd_estimate(args) -> int:
         entries = [(args.tos_file, model_id, tos) for model_id, tos in
                    _read_rows(args.tos_file, {"model_id": str, "tos": finite_float})]
     if not entries and not args.models:
-        raise ValueError("estimate needs model files or --tos-file")
+        raise ValueError(f"{args.tos_file}: the table lists no model" if args.tos_file
+                         else "estimate needs model files or --tos-file")
     for path in args.models:
         model = _load_model(path, args.format)
         with _naming(path, model.name):
@@ -312,7 +305,7 @@ def cmd_estimate(args) -> int:
     for source, model_id, tos in entries:
         with _naming(source, model_id):
             rows.append([model_id, _fmt(tos, args.raw), _fmt(lr.predict(tos), args.raw)])
-    _emit(_csv_table(rows), args.out)
+    _emit(write_table(rows), args.out)
     return EXIT_OK
 
 
@@ -374,7 +367,7 @@ def cmd_sweep(args) -> int:
                 rows.append([str(width), act.value, _fmt(tos, args.raw),
                              _fmt(macs, args.raw), _fmt(flops, args.raw), predicted])
             svg_points.setdefault(act.value, []).append((float(width), tos))
-    _emit(_csv_table(rows), args.out)
+    _emit(write_table(rows), args.out)
     if args.svg:
         Path(args.svg).write_text(_sweep_svg(svg_points), encoding="utf-8")
     return EXIT_OK
@@ -385,12 +378,14 @@ def cmd_compare(args) -> int:
     pred_flops = _read_by_id(args.predictions_flops, "predicted_j")
     actual = _read_by_id(args.actual, "joules")
     ids = list(actual)
-    if len(pred_tos) != len(ids) or len(pred_flops) != len(ids):
-        raise ValueError(f"prediction/actual length mismatch: "
-                         f"{len(pred_tos)} vs {len(pred_flops)} vs {len(ids)}")
-    for model_id in ids:
-        if model_id not in pred_tos or model_id not in pred_flops:
-            raise ValueError(f"model {model_id!r} missing from a prediction file")
+    for path, predicted in ((args.predictions_tos, pred_tos),
+                            (args.predictions_flops, pred_flops)):
+        missing = [i for i in ids if i not in predicted]
+        extra = [i for i in predicted if i not in actual]
+        if missing or extra:
+            raise ValueError(f"{path}: " + (
+                f"model {missing[0]!r} of {args.actual} is missing" if missing
+                else f"model {extra[0]!r} is not in {args.actual}"))
 
     actual_values = list(actual.values())
     tos_values = [pred_tos[i] for i in ids]
@@ -417,7 +412,7 @@ def cmd_compare(args) -> int:
         summary.append([name, _fmt(min(report.precision), raw),
                         _fmt(max(report.precision), raw),
                         _fmt(report.avg_error, raw), _fmt(report.max_error, raw)])
-    _emit(_csv_table(rows) + "\n" + _csv_table(summary), args.out)
+    _emit(write_table(rows) + "\n" + write_table(summary), args.out)
     return EXIT_OK
 
 
@@ -444,7 +439,7 @@ def cmd_oracle(args) -> int:
         rows.append([f"backprop_layer_{index}"] + _counts_row(counts))
     rows.append(["backprop"] + _counts_row(tally.backprop))
     rows.append(["update"] + _counts_row(tally.update))
-    _emit(_csv_table(rows), args.out)
+    _emit(write_table(rows), args.out)
     return EXIT_OK
 
 

@@ -30,13 +30,15 @@ from operator import mul
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
+    FieldError,
     ParseError,
     Value,
-    _set,
     as_count,
+    as_name,
     as_number,
     check_keys,
     parse_json_object,
+    placed,
     read_document,
 )
 
@@ -87,6 +89,13 @@ def read_table(source: str | IO[str],
         except ValueError as e:
             raise ParseError(f"row {reader.line_num}: {e}") from None
         yield values
+
+
+def write_table(rows: Iterable[Sequence[str]]) -> str:
+    """The CSV text of ``rows``, one line each, every line ending in ``\\n``."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 class DegenerateFitError(ValueError):
@@ -241,20 +250,15 @@ class EnergySample(Value):
     __slots__ = ("model_id", "run_id", "joules")
 
     def __init__(self, model_id: str, run_id: str, joules: float) -> None:
-        if not (math.isfinite(joules) and joules >= 0):
-            raise ValueError(f"joules must be finite and non-negative, got {joules}")
-        _set(self, "model_id", model_id)
-        _set(self, "run_id", run_id)
-        _set(self, "joules", joules)
+        joules = as_number(joules, "joules")
+        if joules < 0:
+            raise FieldError(f"joules: must be non-negative, got {joules}")
+        self._fill(as_name(model_id, "model_id"), as_name(run_id, "run_id"), joules)
 
 
 def write_energy_samples(samples: Iterable[EnergySample]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["model_id", "run_id", "joules"])
-    for s in samples:
-        writer.writerow([s.model_id, s.run_id, repr(float(s.joules))])
-    return out.getvalue()
+    return write_table([("model_id", "run_id", "joules"),
+                        *((s.model_id, s.run_id, repr(s.joules)) for s in samples)])
 
 
 class LinearModel(Value):
@@ -264,17 +268,14 @@ class LinearModel(Value):
 
     def __init__(self, intercept: float, slope: float, r_squared: float,
                  n_points: int) -> None:
-        if not (math.isfinite(intercept) and math.isfinite(slope)):
-            raise ValueError(f"intercept and slope must be finite, got "
-                             f"{intercept} and {slope}")
-        if n_points < 2:
-            raise ValueError("a linear model needs at least 2 fit points")
+        r_squared = as_number(r_squared, "r_squared")
         if not 0.0 <= r_squared <= 1.0:
-            raise ValueError(f"r_squared must lie in [0, 1], got {r_squared}")
-        _set(self, "intercept", intercept)
-        _set(self, "slope", slope)
-        _set(self, "r_squared", r_squared)
-        _set(self, "n_points", n_points)
+            raise FieldError(f"r_squared: must lie in [0, 1], got {r_squared}")
+        if as_count(n_points, "n_points") < 2:
+            raise FieldError(f"n_points: a linear model needs at least 2 fit points, "
+                             f"got {n_points}")
+        self._fill(as_number(intercept, "intercept"), as_number(slope, "slope"),
+                   r_squared, n_points)
 
     def predict(self, tos: float) -> float:
         return self.intercept + self.slope * tos
@@ -314,26 +315,22 @@ def fit(points: Sequence[tuple[float, float]]) -> LinearModel:
                        r_squared=r_squared, n_points=n)
 
 
+# The fitted-model document key of each LinearModel field.
+_FITTED_KEYS = {"intercept": "intercept_j", "slope": "slope_j_per_to",
+                "r_squared": "r_squared", "n_points": "n_points"}
+
+
 def write_linear_model(model: LinearModel) -> str:
-    doc = {
-        "intercept_j": model.intercept,
-        "slope_j_per_to": model.slope,
-        "r_squared": model.r_squared,
-        "n_points": model.n_points,
-    }
+    doc = {key: getattr(model, field) for field, key in _FITTED_KEYS.items()}
     return json.dumps(doc, indent=2) + "\n"
 
 
 def read_linear_model(text: str) -> LinearModel:
     doc = parse_json_object(text, "fitted model")
-    keys = {"intercept_j", "slope_j_per_to", "r_squared", "n_points"}
+    keys = set(_FITTED_KEYS.values())
     check_keys(doc, keys, keys, "fitted model")
-    try:
-        return LinearModel(*(as_number(doc[key], key) for key in
-                             ("intercept_j", "slope_j_per_to", "r_squared")),
-                           as_count(doc["n_points"], "n_points"))
-    except ValueError as e:
-        raise ParseError(f"fitted model: {e}") from None
+    return placed(lambda field: f"fitted model: {_FITTED_KEYS[field]}", LinearModel,
+                  *(doc[key] for key in _FITTED_KEYS.values()))
 
 
 def load_linear_model(path) -> LinearModel:

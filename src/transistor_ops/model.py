@@ -23,6 +23,7 @@ from operator import attrgetter
 from typing import IO, Any, Callable, Sequence, TypeVar
 
 T = TypeVar("T")
+E = TypeVar("E", bound=Enum)
 
 
 class ParseError(ValueError):
@@ -30,23 +31,69 @@ class ParseError(ValueError):
 
 
 class ValidationError(ValueError):
-    """The document parsed but describes an inconsistent model."""
+    """A value breaks a rule: one field's own, or one between fields,
+    such as mismatched layer dimensions."""
 
 
-# How a value class's __init__ sets a field past Value.__setattr__.
-_set = object.__setattr__
+class FieldError(ValidationError):
+    """One field's value breaks the field's own rule; the message is
+    ``<field>: <problem>``."""
+
+
+def as_count(value: Any, name: str) -> int:
+    """An integer >= 1; bools and fractional numbers are rejected."""
+    if value.__class__ is not int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise FieldError(f"{name}: expected an integer, got {value!r}")
+    if value < 1:
+        raise FieldError(f"{name}: must be >= 1, got {value}")
+    return value
+
+
+def as_number(value: Any, name: str) -> float:
+    """A finite number as a float; bools, NaN and infinities are rejected."""
+    if ((value.__class__ is float or isinstance(value, (int, float))
+         and not isinstance(value, bool)) and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise FieldError(f"{name}: expected a finite number, got {value!r}")
+
+
+def as_positive(value: Any, name: str) -> float:
+    """A finite number > 0 as a float."""
+    value = as_number(value, name)
+    if value <= 0:
+        raise FieldError(f"{name}: must be positive, got {value}")
+    return value
+
+
+def as_member(value: Any, enum: type[E], name: str) -> E:
+    """A member of ``enum``, given as itself or as its value."""
+    if value.__class__ is enum:
+        return value
+    try:
+        return enum(value)
+    except ValueError:
+        names = ", ".join(member.value for member in enum)
+        raise FieldError(f"{name}: unknown {name} {value!r} (one of: {names})") from None
+
+
+def as_name(value: Any, name: str) -> str:
+    """A non-empty string."""
+    if not (isinstance(value, str) and value):
+        raise FieldError(f"{name}: expected a non-empty string, got {value!r}")
+    return value
 
 
 class Value:
     """Base of the immutable value classes that validate their fields.
 
     A subclass lists its fields, two or more, in ``__slots__`` (so the
-    per-class ``attrgetter`` returns a tuple) and sets each one in its
-    own ``__init__`` through ``object.__setattr__``. Instances compare
-    equal only to instances of the same class with equal fields, hash by
-    their fields, and refuse assignment. :meth:`_replace`, ``copy`` and
-    ``pickle`` build new instances through ``__init__``, so every copy
-    is validated again.
+    per-class ``attrgetter`` returns a tuple); its ``__init__`` checks
+    each one, raising :class:`FieldError` naming the field, and sets
+    them all with :meth:`_fill`. Instances compare equal only to
+    instances of the same class with equal fields, hash by their fields,
+    and refuse assignment. :meth:`_replace`, ``copy`` and ``pickle``
+    build new instances through ``__init__``, so every copy is validated
+    again.
     """
 
     __slots__ = ()
@@ -54,6 +101,12 @@ class Value:
     def __init_subclass__(cls) -> None:
         cls._fields = cls.__slots__
         cls._key = attrgetter(*cls.__slots__)
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+    def _fill(self, *values) -> None:
+        """Set the fields to ``values``, in ``__slots__`` order."""
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -87,13 +140,11 @@ class FloatFormat(Value):
     __slots__ = ("exponent_bits", "fraction_bits", "sign_bits")
 
     def __init__(self, exponent_bits: int, fraction_bits: int, sign_bits: int = 1) -> None:
-        if sign_bits != 1:
-            raise ValidationError("float formats carry exactly one sign bit")
-        if exponent_bits < 1 or fraction_bits < 1:
-            raise ValidationError("exponent and fraction need at least one bit each")
-        _set(self, "exponent_bits", exponent_bits)
-        _set(self, "fraction_bits", fraction_bits)
-        _set(self, "sign_bits", sign_bits)
+        if as_count(sign_bits, "sign_bits") != 1:
+            raise FieldError(f"sign_bits: float formats carry exactly one sign bit, "
+                             f"got {sign_bits}")
+        self._fill(as_count(exponent_bits, "exponent_bits"),
+                   as_count(fraction_bits, "fraction_bits"), sign_bits)
 
     @property
     def significand_bits(self) -> int:
@@ -147,11 +198,8 @@ class FullyConnected(Value):
 
     def __init__(self, inputs: int, outputs: int,
                  activation: Activation = Activation.NONE) -> None:
-        if inputs < 1 or outputs < 1:
-            raise ValidationError("fully-connected dimensions must be >= 1")
-        _set(self, "inputs", inputs)
-        _set(self, "outputs", outputs)
-        _set(self, "activation", activation)
+        self._fill(as_count(inputs, "inputs"), as_count(outputs, "outputs"),
+                   as_member(activation, Activation, "activation"))
 
     @property
     def output_units(self) -> int:
@@ -170,13 +218,10 @@ class Convolutional(Value):
 
     def __init__(self, out_width: int, kernel: int, in_channels: int, out_channels: int,
                  activation: Activation = Activation.NONE) -> None:
-        if any(d < 1 for d in (out_width, kernel, in_channels, out_channels)):
-            raise ValidationError("convolutional dimensions must be >= 1")
-        _set(self, "out_width", out_width)
-        _set(self, "kernel", kernel)
-        _set(self, "in_channels", in_channels)
-        _set(self, "out_channels", out_channels)
-        _set(self, "activation", activation)
+        self._fill(as_count(out_width, "out_width"), as_count(kernel, "kernel"),
+                   as_count(in_channels, "in_channels"),
+                   as_count(out_channels, "out_channels"),
+                   as_member(activation, Activation, "activation"))
 
     @property
     def output_units(self) -> int:
@@ -190,6 +235,11 @@ class Convolutional(Value):
 
 
 LayerSpec = FullyConnected | Convolutional
+
+# The layer class of each layer document ``kind``; the document's other
+# keys are the class's fields.
+LAYER_KINDS = {"fully_connected": FullyConnected, "convolutional": Convolutional}
+_KIND_OF = {cls: kind for kind, cls in LAYER_KINDS.items()}
 
 
 class ModelSpec(Value):
@@ -206,34 +256,26 @@ class ModelSpec(Value):
     def __init__(self, name: str, float_format: FloatFormat,
                  layers: tuple[LayerSpec, ...], loss: Loss = Loss.MSE,
                  dataset_len: int = 1, batch_size: int = 1, epochs: int = 1) -> None:
+        name = as_name(name, "name")
+        if not isinstance(float_format, FloatFormat):
+            raise FieldError(f"float_format: expected a FloatFormat, got {float_format!r}")
         layers = tuple(layers)
-        if not name:
-            raise ValidationError("model name must be non-empty")
         if not layers:
-            raise ValidationError("model needs at least one layer")
-        for i in range(len(layers) - 1):
-            a, b = layers[i], layers[i + 1]
-            if isinstance(a, FullyConnected) and isinstance(b, FullyConnected):
-                if a.outputs != b.inputs:
-                    raise ValidationError(
-                        f"layer {i + 1} produces {a.outputs} outputs but "
-                        f"layer {i + 2} expects {b.inputs} inputs"
-                    )
-        for field, value in (("dataset_len", dataset_len), ("batch_size", batch_size),
-                             ("epochs", epochs)):
-            if value < 1:
-                raise ValidationError(f"{field} must be >= 1")
+            raise FieldError("layers: a model needs at least one layer")
+        for i, layer in enumerate(layers):
+            if layer.__class__ not in _KIND_OF:
+                raise FieldError(f"layers: item {i} is not a layer, got {layer!r}")
+        self._fill(name, float_format, layers, as_member(loss, Loss, "loss"),
+                   as_count(dataset_len, "dataset_len"), as_count(batch_size, "batch_size"),
+                   as_count(epochs, "epochs"))
+        for i, (a, b) in enumerate(zip(layers, layers[1:]), start=1):
+            if a.__class__ is b.__class__ is FullyConnected and a.outputs != b.inputs:
+                raise ValidationError(f"layer {i} produces {a.outputs} outputs but "
+                                      f"layer {i + 1} expects {b.inputs} inputs")
         if batch_size > dataset_len:
             raise ValidationError(
                 f"batch_size {batch_size} exceeds dataset_len {dataset_len}"
             )
-        _set(self, "name", name)
-        _set(self, "float_format", float_format)
-        _set(self, "layers", layers)
-        _set(self, "loss", loss)
-        _set(self, "dataset_len", dataset_len)
-        _set(self, "batch_size", batch_size)
-        _set(self, "epochs", epochs)
 
     @property
     def steps_per_epoch(self) -> int:
@@ -256,29 +298,14 @@ class ModelSpec(Value):
 
 def check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
     """Reject keys outside ``allowed`` and report any of ``required`` missing."""
+    if obj.keys() == allowed:
+        return
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ParseError(f"{where}: unknown key(s) {', '.join(unknown)}")
     missing = sorted(required - set(obj))
     if missing:
         raise ParseError(f"{where}: missing key(s) {', '.join(missing)}")
-
-
-def as_count(value: Any, where: str) -> int:
-    """A JSON integer >= 1; bools and fractional numbers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: expected an integer, got {value!r}")
-    if value < 1:
-        raise ParseError(f"{where}: must be >= 1, got {value}")
-    return value
-
-
-def as_number(value: Any, where: str) -> float:
-    """A finite JSON number as a float; bools, NaN and infinities are rejected."""
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max):
-        return float(value)
-    raise ParseError(f"{where}: expected a finite number, got {value!r}")
 
 
 def parse_json_object(text: str, where: str) -> dict:
@@ -304,12 +331,15 @@ def read_document(path, parse: Callable[[IO[str]], T]) -> T:
             raise ParseError(f"{path}: {e}") from None
 
 
-def _as_activation(value: Any, where: str) -> Activation:
+def placed(place: Callable[[str], str], build: Callable[..., T], *args, **kwargs) -> T:
+    """``build(*args, **kwargs)``, with a :class:`FieldError` raised again
+    as a :class:`ParseError` that names where the field sits in the
+    document, ``place(field)``."""
     try:
-        return Activation(value)
-    except ValueError:
-        names = ", ".join(a.value for a in Activation)
-        raise ParseError(f"{where}: unknown activation {value!r} (one of: {names})") from None
+        return build(*args, **kwargs)
+    except FieldError as e:
+        field, _, problem = str(e).partition(": ")
+        raise ParseError(f"{place(field)}: {problem}") from None
 
 
 def _parse_layer(obj: Any, index: int) -> LayerSpec:
@@ -317,66 +347,44 @@ def _parse_layer(obj: Any, index: int) -> LayerSpec:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
     kind = obj.get("kind")
-    if kind == "fully_connected":
-        check_keys(obj, {"kind", "inputs", "outputs", "activation"},
-                    {"kind", "inputs", "outputs", "activation"}, where)
-        return FullyConnected(
-            inputs=as_count(obj["inputs"], f"{where}.inputs"),
-            outputs=as_count(obj["outputs"], f"{where}.outputs"),
-            activation=_as_activation(obj["activation"], f"{where}.activation"),
-        )
-    if kind == "convolutional":
-        check_keys(obj, {"kind", "out_width", "kernel", "in_channels", "out_channels", "activation"},
-                    {"kind", "out_width", "kernel", "in_channels", "out_channels", "activation"}, where)
-        return Convolutional(
-            out_width=as_count(obj["out_width"], f"{where}.out_width"),
-            kernel=as_count(obj["kernel"], f"{where}.kernel"),
-            in_channels=as_count(obj["in_channels"], f"{where}.in_channels"),
-            out_channels=as_count(obj["out_channels"], f"{where}.out_channels"),
-            activation=_as_activation(obj["activation"], f"{where}.activation"),
-        )
-    raise ParseError(f"{where}.kind: expected 'fully_connected' or 'convolutional', got {kind!r}")
+    cls = LAYER_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParseError(f"{where}.kind: expected one of {sorted(LAYER_KINDS)}, got {kind!r}")
+    keys = {"kind", *cls.__slots__}
+    check_keys(obj, keys, keys, where)
+    try:
+        return cls(*map(obj.get, cls.__slots__))
+    except FieldError as e:
+        raise ParseError(f"{where}.{e}") from None
+
+
+_MODEL_KEYS = {"name", "float_format", "loss", "training", "layers"}
+_TRAINING_KEYS = {"dataset_len", "batch_size", "epochs"}
 
 
 def parse_model(text: str) -> ModelSpec:
     """Parse a model document into a validated :class:`ModelSpec`.
 
-    Raises :class:`ParseError` for malformed documents (with line/field
-    context) and :class:`ValidationError` for structurally inconsistent
-    models, e.g. mismatched layer dimensions.
+    Raises :class:`ParseError` for malformed documents and bad field
+    values (naming the key) and :class:`ValidationError` for
+    structurally inconsistent models, e.g. mismatched layer dimensions.
     """
     doc = parse_json_object(text, "document root")
-    check_keys(doc, {"name", "float_format", "loss", "training", "layers"},
-                {"name", "float_format", "loss", "training", "layers"}, "document root")
-    name = doc["name"]
-    if not isinstance(name, str) or not name:
-        raise ParseError("name: expected a non-empty string")
+    check_keys(doc, _MODEL_KEYS, _MODEL_KEYS, "document root")
     fmt_key = doc["float_format"]
-    if fmt_key not in FLOAT_FORMATS:
+    if not (isinstance(fmt_key, str) and fmt_key in FLOAT_FORMATS):
         raise ParseError(f"float_format: expected one of {sorted(FLOAT_FORMATS)}, got {fmt_key!r}")
-    try:
-        loss = Loss(doc["loss"])
-    except ValueError:
-        raise ParseError(f"loss: unknown loss kind {doc['loss']!r} (one of: "
-                         f"{', '.join(l.value for l in Loss)})") from None
     training = doc["training"]
     if not isinstance(training, dict):
         raise ParseError("training: expected an object")
-    check_keys(training, {"dataset_len", "batch_size", "epochs"},
-                {"dataset_len", "batch_size", "epochs"}, "training")
-    layers_doc = doc["layers"]
-    if not isinstance(layers_doc, list) or not layers_doc:
-        raise ParseError("layers: expected a non-empty list")
-    layers = tuple(_parse_layer(layer, i) for i, layer in enumerate(layers_doc))
-    return ModelSpec(
-        name=name,
-        float_format=FLOAT_FORMATS[fmt_key],
-        layers=layers,
-        loss=loss,
-        dataset_len=as_count(training["dataset_len"], "training.dataset_len"),
-        batch_size=as_count(training["batch_size"], "training.batch_size"),
-        epochs=as_count(training["epochs"], "training.epochs"),
-    )
+    check_keys(training, _TRAINING_KEYS, _TRAINING_KEYS, "training")
+    layers = doc["layers"]
+    if not isinstance(layers, list):
+        raise ParseError("layers: expected a list")
+    return placed(lambda field: f"training.{field}" if field in training else field,
+                  ModelSpec, doc["name"], FLOAT_FORMATS[fmt_key],
+                  [_parse_layer(layer, i) for i, layer in enumerate(layers)],
+                  doc["loss"], **training)
 
 
 def parse_model_file(path) -> ModelSpec:
@@ -384,12 +392,7 @@ def parse_model_file(path) -> ModelSpec:
 
 
 def _layer_to_doc(layer: LayerSpec) -> dict:
-    if isinstance(layer, FullyConnected):
-        return {"kind": "fully_connected", "inputs": layer.inputs,
-                "outputs": layer.outputs, "activation": layer.activation.value}
-    return {"kind": "convolutional", "out_width": layer.out_width, "kernel": layer.kernel,
-            "in_channels": layer.in_channels, "out_channels": layer.out_channels,
-            "activation": layer.activation.value}
+    return {"kind": _KIND_OF[layer.__class__], **dict(zip(layer._fields, layer._key(layer)))}
 
 
 def serialize_model(model: ModelSpec) -> str:
@@ -423,18 +426,16 @@ def model_family(base: ModelSpec, widths: Sequence[int],
         raise ValueError("base model needs at least one hidden layer")
     if not all(isinstance(layer, FullyConnected) for layer in base.layers):
         raise ValueError("family generation is defined for fully-connected models only")
-    first = base.layers[0]
-    last = base.layers[-1]
-    depth = len(base.layers)
+    first, last = base.layers[0], base.layers[-1]
+    hidden = len(base.layers) - 2
     family = []
     for width in widths:
+        output = FullyConnected(width, last.outputs, last.activation)
         for act in activations:
-            layers = []
-            for i in range(depth):
-                inputs = first.inputs if i == 0 else width
-                outputs = last.outputs if i == depth - 1 else width
-                activation = last.activation if i == depth - 1 else act
-                layers.append(FullyConnected(inputs, outputs, activation))
-            family.append(base._replace(name=f"{base.name}-w{width}-{act.value}",
-                                        layers=tuple(layers)))
+            # Values are immutable, so the hidden layers share one instance.
+            layers = (FullyConnected(first.inputs, width, act),
+                      *[FullyConnected(width, width, act)] * hidden, output)
+            family.append(ModelSpec(f"{base.name}-w{width}-{act.value}", base.float_format,
+                                    layers, base.loss, base.dataset_len, base.batch_size,
+                                    base.epochs))
     return family

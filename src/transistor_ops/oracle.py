@@ -22,7 +22,7 @@ import random
 from typing import NamedTuple, Sequence
 
 from .basic_ops import BasicOpCounts, UnsupportedError
-from .model import Activation, FullyConnected, Loss, ModelSpec
+from .model import Activation, FullyConnected, ModelSpec
 
 
 class _Tally:
@@ -231,8 +231,6 @@ def run_training_step(model: ModelSpec, inputs: Sequence[float],
     loss segment; the 1/O mean factor and the square's derivative
     constant are folded into the learning rate, so seeding costs no ops.
     """
-    if model.loss is not Loss.MSE:
-        raise UnsupportedError(f"unsupported loss kind: {model.loss!r}")
     if weights is None:
         weights = default_weights(model)
     tally = _Tally()

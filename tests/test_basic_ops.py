@@ -12,6 +12,7 @@ from transistor_ops import (
     Loss,
     ModelSpec,
     UnsupportedError,
+    ValidationError,
     count_model,
     model_family,
 )
@@ -22,9 +23,9 @@ INFERENCE, VALIDATION, TRAINING = (AnalysisLevel.INFERENCE, AnalysisLevel.VALIDA
                                    AnalysisLevel.TRAINING)
 
 
-def report_of(*layers, level=INFERENCE, loss=Loss.MSE):
+def report_of(*layers, level=INFERENCE):
     """The ``count_model`` report of a model made of ``layers``."""
-    return count_model(ModelSpec("m", FP32, layers, loss), level)
+    return count_model(ModelSpec("m", FP32, layers), level)
 
 
 def forward_of(layer):
@@ -111,8 +112,9 @@ class TestLoss:
         assert report.loss.as_tuple() == (7, 8, 8, 1, 0)
 
     def test_unsupported_loss_kind(self):
-        with pytest.raises(UnsupportedError, match="loss"):
-            report_of(FullyConnected(1, 1), level=VALIDATION, loss="mae")
+        # MSE is the only loss: a model cannot name another one.
+        with pytest.raises(ValidationError, match="^loss: unknown loss 'mae'"):
+            ModelSpec("m", FP32, (FullyConnected(1, 1),), loss="mae")
 
 
 class TestBackprop:

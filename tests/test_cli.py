@@ -518,6 +518,25 @@ BAD_INPUTS = {
          "act.csv": "model_id,joules\na,1e308\n"},
         ["compare", "{tos_pred.csv}", "{flops_pred.csv}", "{act.csv}"],
         "tos_pred.csv", "index 0"),
+    "compare-missing-id": (
+        {"p1.csv": "model_id,predicted_j\na,100\nb,200\n",
+         "p2.csv": "model_id,predicted_j\na,100\nc,200\n",
+         "act.csv": "model_id,joules\na,110\nb,190\n"},
+        ["compare", "{p1.csv}", "{p2.csv}", "{act.csv}"], "p2.csv", "model 'b'"),
+    "compare-fewer-ids": (
+        {"p1.csv": "model_id,predicted_j\na,100\n",
+         "p2.csv": "model_id,predicted_j\na,100\nb,200\n",
+         "act.csv": "model_id,joules\na,110\nb,190\n"},
+        ["compare", "{p1.csv}", "{p2.csv}", "{act.csv}"], "p1.csv", "model 'b'"),
+    "compare-extra-id": (
+        {"p1.csv": "model_id,predicted_j\na,100\nb,200\n",
+         "p2.csv": "model_id,predicted_j\na,100\nb,200\nc,300\n",
+         "act.csv": "model_id,joules\na,110\nb,190\n"},
+        ["compare", "{p1.csv}", "{p2.csv}", "{act.csv}"], "p2.csv", "model 'c'"),
+    "estimate-empty-tos-file": (
+        {"fitted.json": FITTED, "empty.csv": "model_id,tos\n"},
+        ["estimate", "--tos-file", "{empty.csv}", "--fitted", "{fitted.json}"],
+        "empty.csv", "lists no model"),
 }
 
 

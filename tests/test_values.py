@@ -1,9 +1,10 @@
 """Semantics of the package's value classes and plain records.
 
 The nine validated classes share one base (``transistor_ops.model.Value``):
-equality and hashing by fields within one class, no assignment, and a
-``_replace`` that validates the copy again. The plain records are
-``NamedTuple``s, so they are tuples and compare equal to tuples.
+equality and hashing by fields within one class, no assignment, a
+``_replace`` that validates the copy again, and a check of every field
+that names the field. The plain records are ``NamedTuple``s, so they are
+tuples and compare equal to tuples.
 """
 
 import copy
@@ -25,6 +26,7 @@ from transistor_ops import (
     FloatFormat,
     FullyConnected,
     LinearModel,
+    Loss,
     ModelSpec,
     ScaledUnitRef,
     ValidationError,
@@ -37,25 +39,47 @@ from transistor_ops.energy import parse_adapter
 
 from conftest import fc_model
 
-# Each validated class: a factory for one value, and a change that breaks
-# one of its rules with the error that rule raises.
+# Values a count field (an integer >= 1) rejects, and a number field (finite).
+COUNT = (True, 2.5, 0)
+NUMBER = (math.nan, math.inf, True)
+
+# Each validated class: a factory for one value, a change that breaks one
+# of its rules with the error that rule raises, and for each field the
+# values that break its own rule.
 VALUES = {
-    FloatFormat: (lambda: FloatFormat(8, 23), {"sign_bits": 2}, ValidationError),
+    FloatFormat: (lambda: FloatFormat(8, 23), {"sign_bits": 2}, ValidationError,
+                  {"exponent_bits": COUNT, "fraction_bits": COUNT, "sign_bits": COUNT}),
     FullyConnected: (lambda: FullyConnected(4, 3, Activation.TANH), {"inputs": 0},
-                     ValidationError),
+                     ValidationError,
+                     {"inputs": COUNT, "outputs": COUNT, "activation": ("relu", None)}),
     Convolutional: (lambda: Convolutional(3, 2, 1, 5, Activation.GELU), {"kernel": 0},
-                    ValidationError),
+                    ValidationError,
+                    {"out_width": COUNT, "kernel": COUNT, "in_channels": COUNT,
+                     "out_channels": COUNT, "activation": ("relu",)}),
     ModelSpec: (lambda: ModelSpec("m", FP32, [FullyConnected(4, 3), FullyConnected(3, 1)],
                                   dataset_len=10, batch_size=5),
-                {"batch_size": 11}, ValidationError),
-    BasicOpCounts: (lambda: BasicOpCounts(1, 2, 3, 4, 5), {"n_div": -1}, ValueError),
-    ScaledUnitRef: (lambda: ScaledUnitRef(64, 90_000.0), {"bits": 0}, ValueError),
+                {"batch_size": 11}, ValidationError,
+                {"name": ("", 3), "float_format": ("fp32",),
+                 "layers": ((), [FullyConnected(4, 1), {"inputs": 1}]), "loss": ("mae",),
+                 "dataset_len": COUNT, "batch_size": COUNT, "epochs": COUNT}),
+    BasicOpCounts: (lambda: BasicOpCounts(1, 2, 3, 4, 5), {"n_div": -1}, ValueError,
+                    {"n_add": (True, 2.5, -1)}),
+    ScaledUnitRef: (lambda: ScaledUnitRef(64, 90_000.0), {"bits": 0}, ValueError,
+                    {"bits": COUNT, "transistors": NUMBER + (0.0,)}),
     CostTable: (lambda: CostTable(fa_transistors=12.0), {"newton_iterations": 0},
-                ValueError),
-    EnergySample: (lambda: EnergySample("m", "r", 1.5), {"joules": math.nan}, ValueError),
-    LinearModel: (lambda: LinearModel(1.0, 2.0, 0.5, 3), {"r_squared": 2.0}, ValueError),
+                ValueError,
+                {"fa_transistors": NUMBER + (-1.0,), "ha_transistors": NUMBER,
+                 "xor_transistors": NUMBER, "mult_ref": (64,), "div_ref": (None,),
+                 "scaling_exponent": NUMBER, "newton_iterations": COUNT}),
+    EnergySample: (lambda: EnergySample("m", "r", 1.5), {"joules": math.nan}, ValueError,
+                   {"model_id": ("", 1), "run_id": (None,), "joules": NUMBER + (-1.0,)}),
+    LinearModel: (lambda: LinearModel(1.0, 2.0, 0.5, 3), {"r_squared": 2.0}, ValueError,
+                  {"intercept": NUMBER, "slope": NUMBER, "r_squared": NUMBER,
+                   "n_points": COUNT + (1,)}),
 }
 CLASSES = list(VALUES)
+BAD_FIELDS = [(cls, field, value) for cls, (*_, bad) in VALUES.items()
+              for field, values in bad.items() for value in values]
 
 
 def make(cls):
@@ -110,7 +134,7 @@ class TestValueClass:
 
     def test_replace_validates_again(self, cls):
         value = make(cls)
-        _, change, error = VALUES[cls]
+        _, change, error, _ = VALUES[cls]
         assert value._replace() == value
         with pytest.raises(error):
             value._replace(**change)
@@ -129,6 +153,39 @@ class TestValueClass:
         assert copy.copy(value) == value
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize("cls,field,value", BAD_FIELDS,
+                         ids=[f"{c.__name__}.{f}={v!r}" for c, f, v in BAD_FIELDS])
+def test_a_field_that_breaks_its_rule_raises_naming_the_field(cls, field, value):
+    with pytest.raises(ValidationError, match=rf"^{field}: "):
+        make(cls)._replace(**{field: value})
+
+
+def test_every_field_has_bad_values_but_basic_op_counts():
+    for cls, (*_, bad) in VALUES.items():
+        assert set(bad) == set(cls._fields) or cls is BasicOpCounts
+
+
+def test_a_model_with_bad_loss_and_training_shape_names_a_field():
+    layers = (FullyConnected(2, 1),)
+    with pytest.raises(ValidationError, match="^loss: unknown loss 'mae'"):
+        ModelSpec("m", FP32, layers, "mae", 2.5, 1, True)
+    with pytest.raises(ValidationError, match="^dataset_len: expected an integer, got 2.5"):
+        ModelSpec("m", FP32, layers, "mse", 2.5, 1, True)
+    with pytest.raises(ValidationError, match="^epochs: expected an integer, got True"):
+        ModelSpec("m", FP32, layers, "mse", 2, 1, True)
+
+
+def test_enum_fields_take_the_member_or_its_value():
+    assert FullyConnected(4, 3, "tanh") == make(FullyConnected)
+    assert FullyConnected(4, 3, "tanh").activation is Activation.TANH
+    assert make(ModelSpec)._replace(loss="mse").loss is Loss.MSE
+
+
+def test_number_fields_are_floats():
+    assert CostTable(fa_transistors=12).fa_transistors.__class__ is float
+    assert LinearModel(1, 2, 1, 3) == LinearModel(1.0, 2.0, 1.0, 3)
 
 
 def test_model_spec_replace_rechecks_batch_size():
