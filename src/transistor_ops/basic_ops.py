@@ -40,6 +40,7 @@ from .model import (
     LayerSpec,
     ModelSpec,
     Value,
+    as_int,
 )
 
 
@@ -56,9 +57,7 @@ class BasicOpCounts(Value):
                  n_div: int = 0, n_root: int = 0) -> None:
         counts = (n_add, n_sub, n_mul, n_div, n_root)
         for name, value in zip(self.__slots__, counts):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise FieldError(f"{name}: expected an integer, got {value!r}")
-            if value < 0:
+            if as_int(value, name) < 0:
                 raise FieldError(f"{name}: must be non-negative, got {value}")
         self._fill(*counts)
 

@@ -40,11 +40,16 @@ class FieldError(ValidationError):
     ``<field>: <problem>``."""
 
 
-def as_count(value: Any, name: str) -> int:
-    """An integer >= 1; bools and fractional numbers are rejected."""
+def as_int(value: Any, name: str) -> int:
+    """An integer; bools and fractional numbers are rejected."""
     if value.__class__ is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise FieldError(f"{name}: expected an integer, got {value!r}")
-    if value < 1:
+    return value
+
+
+def as_count(value: Any, name: str) -> int:
+    """An integer >= 1."""
+    if as_int(value, name) < 1:
         raise FieldError(f"{name}: must be >= 1, got {value}")
     return value
 
@@ -105,7 +110,7 @@ class Value:
 
     def _fill(self, *values) -> None:
         """Set the fields to ``values``, in ``__slots__`` order."""
-        for set_field, value in zip(self._setters, values):
+        for set_field, value in zip(self._setters, values, strict=True):
             set_field(self, value)
 
     def __eq__(self, other):
@@ -298,8 +303,6 @@ class ModelSpec(Value):
 
 def check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
     """Reject keys outside ``allowed`` and report any of ``required`` missing."""
-    if obj.keys() == allowed:
-        return
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ParseError(f"{where}: unknown key(s) {', '.join(unknown)}")
@@ -352,10 +355,7 @@ def _parse_layer(obj: Any, index: int) -> LayerSpec:
         raise ParseError(f"{where}.kind: expected one of {sorted(LAYER_KINDS)}, got {kind!r}")
     keys = {"kind", *cls.__slots__}
     check_keys(obj, keys, keys, where)
-    try:
-        return cls(*map(obj.get, cls.__slots__))
-    except FieldError as e:
-        raise ParseError(f"{where}.{e}") from None
+    return placed(lambda field: f"{where}.{field}", cls, *map(obj.get, cls.__slots__))
 
 
 _MODEL_KEYS = {"name", "float_format", "loss", "training", "layers"}

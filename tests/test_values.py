@@ -36,6 +36,7 @@ from transistor_ops import (
 )
 from transistor_ops.circuits import fp_cost_vector
 from transistor_ops.energy import parse_adapter
+from transistor_ops.model import Value
 
 from conftest import fc_model
 
@@ -63,7 +64,7 @@ VALUES = {
                  "layers": ((), [FullyConnected(4, 1), {"inputs": 1}]), "loss": ("mae",),
                  "dataset_len": COUNT, "batch_size": COUNT, "epochs": COUNT}),
     BasicOpCounts: (lambda: BasicOpCounts(1, 2, 3, 4, 5), {"n_div": -1}, ValueError,
-                    {"n_add": (True, 2.5, -1)}),
+                    dict.fromkeys(BasicOpCounts.__slots__, (True, 2.5, -1))),
     ScaledUnitRef: (lambda: ScaledUnitRef(64, 90_000.0), {"bits": 0}, ValueError,
                     {"bits": COUNT, "transistors": NUMBER + (0.0,)}),
     CostTable: (lambda: CostTable(fa_transistors=12.0), {"newton_iterations": 0},
@@ -162,9 +163,20 @@ def test_a_field_that_breaks_its_rule_raises_naming_the_field(cls, field, value)
         make(cls)._replace(**{field: value})
 
 
-def test_every_field_has_bad_values_but_basic_op_counts():
+def test_every_field_has_bad_values():
     for cls, (*_, bad) in VALUES.items():
-        assert set(bad) == set(cls._fields) or cls is BasicOpCounts
+        assert set(bad) == set(cls._fields)
+
+
+def test_a_constructor_that_sets_too_few_fields_raises():
+    class Pair(Value):
+        __slots__ = ("a", "b")
+
+        def __init__(self, a, b):
+            self._fill(a)
+
+    with pytest.raises(ValueError):
+        Pair(1, 2)
 
 
 def test_a_model_with_bad_loss_and_training_shape_names_a_field():
