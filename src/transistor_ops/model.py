@@ -303,12 +303,12 @@ class ModelSpec(Value):
 
 def check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
     """Reject keys outside ``allowed`` and report any of ``required`` missing."""
-    unknown = sorted(set(obj) - allowed)
+    unknown = obj.keys() - allowed
     if unknown:
-        raise ParseError(f"{where}: unknown key(s) {', '.join(unknown)}")
-    missing = sorted(required - set(obj))
+        raise ParseError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
+    missing = required - obj.keys()
     if missing:
-        raise ParseError(f"{where}: missing key(s) {', '.join(missing)}")
+        raise ParseError(f"{where}: missing key(s) {', '.join(sorted(missing))}")
 
 
 def parse_json_object(text: str, where: str) -> dict:
