@@ -144,6 +144,12 @@ class TestParse:
         with pytest.raises(ParseError, match=r"layers\[0\].*units"):
             parse_model(json.dumps(doc))
 
+    def test_missing_keys_named_in_order(self):
+        doc = model_doc([2, 1])
+        del doc["layers"][0]["outputs"], doc["layers"][0]["inputs"]
+        with pytest.raises(ParseError, match=r"^layers\[0\]: missing key\(s\) inputs, outputs$"):
+            parse_model(json.dumps(doc))
+
     def test_unknown_training_key_rejected(self):
         doc = model_doc([2, 1])
         doc["training"]["lr"] = 0.1
