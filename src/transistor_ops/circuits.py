@@ -131,35 +131,22 @@ def scaled_unit_tos(bits: int, ref: ScaledUnitRef, exponent: float) -> float:
     return ref.transistors * (bits / ref.bits) ** exponent
 
 
-def fp_op_tos(op: OpKind, fmt: FloatFormat,
-              table: CostTable = DEFAULT_COST_TABLE) -> float:
-    """Transistor operations for one floating-point basic operation."""
-    frac = fmt.significand_bits
-    if op is OpKind.ADD or op is OpKind.SUB:
-        # Subtraction runs through the adder via two's complement.
-        return adder_tos(frac, table)
-    if op is OpKind.MUL:
-        return (table.xor_transistors
-                + scaled_unit_tos(frac, table.mult_ref, table.scaling_exponent)
-                + adder_tos(fmt.exponent_bits, table))
-    if op is OpKind.DIV:
-        return (table.xor_transistors
-                + scaled_unit_tos(frac, table.div_ref, table.scaling_exponent)
-                + adder_tos(fmt.exponent_bits, table))
-    if op is OpKind.ROOT:
-        per_iter = (fp_op_tos(OpKind.DIV, fmt, table)
-                    + fp_op_tos(OpKind.MUL, fmt, table)
-                    + fp_op_tos(OpKind.ADD, fmt, table))
-        return table.newton_iterations * per_iter
-    raise ValueError(f"unknown op kind: {op!r}")
-
-
 @lru_cache(maxsize=64)
 def fp_cost_vector(fmt: FloatFormat,
                    table: CostTable = DEFAULT_COST_TABLE) -> tuple[float, ...]:
-    """Costs for (add, sub, mul, div, root) in census order."""
-    return tuple(fp_op_tos(op, fmt, table) for op in
-                 (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.ROOT))
+    """Transistor operations of one floating-point (add, sub, mul, div,
+    root), in census order, by the decomposition in the module notes."""
+    frac, exponent_add = fmt.significand_bits, adder_tos(fmt.exponent_bits, table)
+    add = adder_tos(frac, table)
+    times, divide = (table.xor_transistors + scaled_unit_tos(frac, ref, table.scaling_exponent)
+                     + exponent_add for ref in (table.mult_ref, table.div_ref))
+    return add, add, times, divide, table.newton_iterations * (divide + times + add)
+
+
+def fp_op_tos(op: OpKind, fmt: FloatFormat,
+              table: CostTable = DEFAULT_COST_TABLE) -> float:
+    """Transistor operations for one floating-point basic operation."""
+    return fp_cost_vector(fmt, table)[list(OpKind).index(op)]
 
 
 def _dot(counts: tuple[int, ...], costs: tuple[float, ...]) -> float:

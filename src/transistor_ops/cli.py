@@ -19,7 +19,6 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from .basic_ops import BasicOpCounts, UnsupportedError, count_model
@@ -31,8 +30,6 @@ from .circuits import (
     load_cost_table,
 )
 from .energy import (
-    ColumnAdapter,
-    DegenerateFitError,
     EnergySample,
     error_metrics,
     finite_float,
@@ -53,10 +50,11 @@ from .model import (
     AnalysisLevel,
     FLOAT_FORMATS,
     ModelSpec,
-    ParseError,
+    located,
     model_family,
     parse_model_file,
     read_document,
+    unique_dict,
 )
 
 COST_TABLE_ENV = "TOS_COST_TABLE"
@@ -80,20 +78,9 @@ def _fmt(value: float, raw: bool) -> str:
     return repr(value) if raw else format(value, ".6g")
 
 
-@contextmanager
-def _naming(path: str, model_id: str):
-    """Put the input file and the model id in front of an unsupported
-    configuration, an overflow or a non-finite result raised while a model's
-    numbers are computed or printed; each keeps its exit code."""
-    try:
-        yield
-    except UnsupportedError as e:
-        raise UnsupportedError(f"{path}: model {model_id!r}: {e}") from None
-    except OverflowError:
-        raise OverflowError(f"{path}: model {model_id!r}: "
-                            f"the workload overflows a float") from None
-    except ValueError as e:
-        raise ValueError(f"{path}: model {model_id!r}: {e}") from None
+def _in_model(path: str, model_id: str):
+    """A :func:`located` scope naming the input file and the model."""
+    return located(f"{path}: model {model_id!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -113,9 +100,7 @@ def _load_model(path: str, fmt_key: str | None) -> ModelSpec:
 def _load_table(path: str | None) -> CostTable:
     if path is None:
         path = os.environ.get(COST_TABLE_ENV) or None
-    if path is None:
-        return DEFAULT_COST_TABLE
-    return load_cost_table(path)
+    return DEFAULT_COST_TABLE if path is None else load_cost_table(path)
 
 
 def _parse_widths(text: str, activations: int) -> range:
@@ -140,14 +125,12 @@ def _parse_widths(text: str, activations: int) -> range:
 
 
 def _parse_activations(text: str) -> list[Activation]:
-    try:
+    with located(f"--activations {text!r}"):
         activations = [Activation(part.strip()) for part in text.split(",") if part.strip()]
-    except ValueError as e:
-        raise ValueError(f"--activations {text!r}: {e}") from None
+        if len(set(activations)) < len(activations):
+            raise ValueError("an activation is named twice")
     if not activations:
         raise ValueError("--activations: the list is empty")
-    if len(set(activations)) < len(activations):
-        raise ValueError(f"--activations {text!r}: an activation is named twice")
     return activations
 
 
@@ -157,12 +140,9 @@ def _read_rows(path: str, columns: dict) -> list[tuple]:
 
 def _read_by_id(path: str, column: str) -> dict[str, float]:
     """A ``model_id -> column`` table in file order; ids must be unique."""
-    table: dict[str, float] = {}
-    for model_id, value in _read_rows(path, {"model_id": str, column: finite_float}):
-        if model_id in table:
-            raise ParseError(f"{path}: duplicate model_id {model_id!r}")
-        table[model_id] = value
-    return table
+    rows = _read_rows(path, {"model_id": str, column: finite_float})
+    with located(path):
+        return unique_dict(rows, "model_id")
 
 
 def _counts_row(counts: BasicOpCounts) -> list[str]:
@@ -172,7 +152,7 @@ def _counts_row(counts: BasicOpCounts) -> list[str]:
 def cmd_count(args) -> int:
     model = _load_model(args.model, None)
     level = AnalysisLevel(args.level)
-    with _naming(args.model, model.name):
+    with _in_model(args.model, model.name):
         report = count_model(model, level)
     rows = [["scope", "layer", "phase", "n_add", "n_sub", "n_mul", "n_div", "n_root"]]
     for index, profile in enumerate(report.layers, start=1):
@@ -196,7 +176,7 @@ def cmd_tos(args) -> int:
     table = _load_table(args.cost_table)
     raw = args.raw
     rows = [["scope", "quantity", "value"]]
-    with _naming(args.model, model.name):
+    with _in_model(args.model, model.name):
         profile = analyze(model, level, table)
         for index, value in enumerate(profile.layer_forward, start=1):
             rows.append(["per_instance", f"layer_{index}_forward", _fmt(value, raw)])
@@ -226,19 +206,19 @@ def _trace_identity(path: str) -> tuple[str, str]:
     model_id, sep, run_id = Path(path).stem.partition("__")
     if not sep:
         return model_id, "run0"
-    if not (model_id and run_id):
-        raise ValueError(f"{path}: the {'run' if model_id else 'model'} id is empty; "
-                         f"name a trace file <model>__<run>.csv")
-    if run_id == AGGREGATE_RUN:
-        raise ValueError(f"{path}: the run id {AGGREGATE_RUN!r} is reserved "
-                         f"for the aggregate row")
+    with located(path):
+        if not (model_id and run_id):
+            raise ValueError(f"the {'run' if model_id else 'model'} id is empty; "
+                             f"name a trace file <model>__<run>.csv")
+        if run_id == AGGREGATE_RUN:
+            raise ValueError(f"the run id {AGGREGATE_RUN!r} is reserved for the aggregate row")
     return model_id, run_id
 
 
 def cmd_ingest(args) -> int:
-    adapter: ColumnAdapter | None = None
-    if args.adapter:
-        adapter = load_adapter(args.adapter)
+    if args.trim_k < 0:
+        raise ValueError(f"--trim-k {args.trim_k}: must be non-negative")
+    adapter = load_adapter(args.adapter) if args.adapter else None
     runs_of: dict[str, dict[str, tuple[str, float]]] = {}
     for path in args.traces:
         model_id, run_id = _trace_identity(path)
@@ -252,21 +232,17 @@ def cmd_ingest(args) -> int:
         samples += [EnergySample(model_id, run_id, joules)
                     for run_id, (_, joules) in sorted(runs.items())]
         paths, values = zip(*runs.values())
-        try:
-            mean = trimmed_mean(values, args.trim_k)
-        except ValueError as e:
-            raise ValueError(f"{', '.join(paths)}: model {model_id!r}: {e}") from None
-        aggregated.append(EnergySample(model_id, AGGREGATE_RUN, mean))
+        with _in_model(", ".join(paths), model_id):
+            aggregated.append(EnergySample(model_id, AGGREGATE_RUN,
+                                           trimmed_mean(values, args.trim_k)))
     _emit(write_energy_samples(samples + aggregated), args.out)
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
     pairs = _read_rows(args.pairs, {"tos": finite_float, "joules": finite_float})
-    try:
+    with located(args.pairs):
         model = fit(pairs)
-    except DegenerateFitError as e:
-        raise DegenerateFitError(f"{args.pairs}: {e}") from None
     _emit(write_linear_model(model), args.out)
     return EXIT_OK
 
@@ -294,16 +270,18 @@ def cmd_estimate(args) -> int:
     if args.tos_file:
         entries = [(args.tos_file, model_id, tos) for model_id, tos in
                    _read_rows(args.tos_file, {"model_id": str, "tos": finite_float})]
-    if not entries and not args.models:
-        raise ValueError(f"{args.tos_file}: the table lists no model" if args.tos_file
-                         else "estimate needs model files or --tos-file")
+        with located(args.tos_file):
+            if not (entries or args.models):
+                raise ValueError("the table lists no model")
+    elif not args.models:
+        raise ValueError("estimate needs model files or --tos-file")
     for path in args.models:
         model = _load_model(path, args.format)
-        with _naming(path, model.name):
+        with _in_model(path, model.name):
             entries.append((path, model.name,
                             _at_scale(args.scale, model, analyze(model, level, table))[0]))
     for source, model_id, tos in entries:
-        with _naming(source, model_id):
+        with _in_model(source, model_id):
             rows.append([model_id, _fmt(tos, args.raw), _fmt(lr.predict(tos), args.raw)])
     _emit(write_table(rows), args.out)
     return EXIT_OK
@@ -352,14 +330,14 @@ def cmd_sweep(args) -> int:
     level = AnalysisLevel(args.level)
     table = _load_table(args.cost_table)
     lr = load_linear_model(args.fitted_model) if args.fitted_model else None
-    with _naming(args.base, base.name):
+    with _in_model(args.base, base.name):
         members = iter(model_family(base, widths, activations))
     rows = [["width", "activation", "tos", "macs", "flops", "predicted_j"]]
     svg_points: dict[str, list[tuple[float, float]]] = {}
     for width in widths:
         for act in activations:
             member = next(members)
-            with _naming(args.base, member.name):
+            with _in_model(args.base, member.name):
                 tos, macs, flops = _at_scale(args.scale, member,
                                              analyze(member, level, table),
                                              flops_model(member, level))
@@ -382,10 +360,10 @@ def cmd_compare(args) -> int:
                             (args.predictions_flops, pred_flops)):
         missing = [i for i in ids if i not in predicted]
         extra = [i for i in predicted if i not in actual]
-        if missing or extra:
-            raise ValueError(f"{path}: " + (
-                f"model {missing[0]!r} of {args.actual} is missing" if missing
-                else f"model {extra[0]!r} is not in {args.actual}"))
+        with located(path):
+            if missing or extra:
+                raise ValueError(f"model {missing[0]!r} of {args.actual} is missing" if missing
+                                 else f"model {extra[0]!r} is not in {args.actual}")
 
     actual_values = list(actual.values())
     tos_values = [pred_tos[i] for i in ids]
@@ -393,10 +371,8 @@ def cmd_compare(args) -> int:
     reports = []
     for path, values in ((args.predictions_tos, tos_values),
                          (args.predictions_flops, flops_values)):
-        try:
+        with located(f"{path} against {args.actual}"):
             reports.append(error_metrics(values, actual_values))
-        except ValueError as e:
-            raise ValueError(f"{path} against {args.actual}: {e}") from None
     tos_report, flops_report = reports
 
     raw = args.raw
@@ -419,7 +395,8 @@ def cmd_compare(args) -> int:
 def cmd_tradeoff(args) -> int:
     candidates = _read_rows(args.candidates, {"model_id": str, "energy_j": finite_float,
                                               "loss": finite_float})
-    selected = tradeoff_select(candidates, args.alpha)
+    with located(f"{args.candidates} with --alpha {args.alpha}"):
+        selected = tradeoff_select(candidates, args.alpha)
     sys.stdout.write(selected + "\n")
     return EXIT_OK
 
@@ -427,7 +404,7 @@ def cmd_tradeoff(args) -> int:
 def cmd_oracle(args) -> int:
     from .oracle import default_inputs, default_weights, run_training_step
     model = _load_model(args.model, None)
-    with _naming(args.model, model.name):
+    with _in_model(args.model, model.name):
         weights = default_weights(model, args.seed)
         inputs = default_inputs(model, args.seed)
         targets = [0.5] * model.layers[-1].output_units

@@ -130,8 +130,17 @@ def _checked(rows: Iterable, place: Callable[[int], str], ti: int = 0, pi: int =
         raise TraceError("a power trace needs at least 2 samples")
 
 
-def _sample_index(i: int) -> str:
-    return f"sample index {i}"
+def _real_pairs(samples: Iterable) -> Iterator[tuple[float, float]]:
+    """Each sample, which must be exactly two real numbers (int or float,
+    not bool); any other raises :class:`TraceError` naming its index."""
+    for i, sample in enumerate(samples):
+        try:
+            t, p = sample
+        except (TypeError, ValueError):
+            t = p = None
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (t, p)):
+            raise TraceError(f"sample index {i}: expected two real numbers, got {sample!r}")
+        yield t, p
 
 
 def _sum(terms: Iterable[float]) -> float:
@@ -144,13 +153,14 @@ def _sum(terms: Iterable[float]) -> float:
 
 def integrate_power(samples: Iterable[tuple[float, float]]) -> float:
     """Energy in joules by the trapezoidal rule, exactly rounded, over
-    (seconds, watts) samples. Samples are checked under the trace rules
-    as they are summed, and a broken rule raises :class:`TraceError`
-    naming the sample index; a stream from :func:`trace_samples` is
-    checked already, and its errors, which name the file row, pass
-    through. Raises :class:`TraceError` when the energy overflows a float."""
+    (seconds, watts) samples. Each sample must be two real numbers, and
+    samples are checked under the trace rules as they are summed; a
+    broken rule raises :class:`TraceError` naming the sample index. A
+    stream from :func:`trace_samples` is checked already, and its errors,
+    which name the file row, pass through. Raises :class:`TraceError`
+    when the energy overflows a float."""
     if getattr(samples, "gi_code", None) is not _checked.__code__:
-        samples = _checked(samples, _sample_index)
+        samples = _checked(_real_pairs(samples), "sample index {}".format)
     try:
         joules = 0.5 * math.fsum((t1 - t0) * (p0 + p1)
                                  for (t0, p0), (t1, p1) in pairwise(samples))

@@ -18,9 +18,10 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from enum import Enum
 from operator import attrgetter
-from typing import IO, Any, Callable, Sequence, TypeVar
+from typing import IO, Any, Callable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 E = TypeVar("E", bound=Enum)
@@ -311,10 +312,21 @@ def check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> 
         raise ParseError(f"{where}: missing key(s) {', '.join(sorted(missing))}")
 
 
+def unique_dict(pairs: list[tuple[Any, T]], what: str = "key") -> dict[Any, T]:
+    """``pairs`` as a dict; a key given twice is a :class:`ParseError`
+    that names the first such key as ``duplicate <what> <key>``."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ParseError(f"duplicate {what} {next(k for k in keys if keys.count(k) > 1)!r}")
+    return doc
+
+
 def parse_json_object(text: str, where: str) -> dict:
-    """Decode a JSON document whose root must be an object."""
+    """Decode a JSON document whose root must be an object, with no key
+    repeated in any object."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_dict)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):
@@ -322,16 +334,26 @@ def parse_json_object(text: str, where: str) -> dict:
     return doc
 
 
+@contextmanager
+def located(where: str) -> Iterator[None]:
+    """Put ``where: `` in front of an input error raised inside; each keeps
+    its class, but a Unicode or CSV quoting error becomes a :class:`ParseError`,
+    and an ``OverflowError`` (a count too large for a float) says so."""
+    try:
+        yield
+    except (UnicodeError, csv.Error) as e:
+        raise ParseError(f"{where}: {e}") from None
+    except ValueError as e:
+        raise type(e)(f"{where}: {e}") from None
+    except OverflowError:
+        raise OverflowError(f"{where}: the workload overflows a float") from None
+
+
 def read_document(path, parse: Callable[[IO[str]], T]) -> T:
     """Open the input file at ``path`` and parse it with ``parse``; any
     input error is re-raised with the file path in front."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            return parse(fh)
-        except (ParseError, ValidationError) as e:
-            raise type(e)(f"{path}: {e}") from None
-        except (UnicodeDecodeError, csv.Error) as e:
-            raise ParseError(f"{path}: {e}") from None
+    with open(path, "r", encoding="utf-8", newline="") as fh, located(path):
+        return parse(fh)
 
 
 def placed(place: Callable[[str], str], build: Callable[..., T], *args, **kwargs) -> T:

@@ -388,8 +388,10 @@ class TestTradeoff:
 
     def test_alpha_out_of_range(self, capsys, tmp_path):
         path = self.write_candidates(tmp_path / "c.csv", [("A", 1.0, 1.0)])
-        code, _ = run_cli(capsys, "tradeoff", path, "--alpha", "2")
+        code = main(["tradeoff", path, "--alpha", "2"])
+        err = capsys.readouterr().err
         assert code == 2
+        assert f"{path} with --alpha 2.0: alpha must lie in [0, 1]" in err, err
 
 
 class TestOracleCommand:
@@ -537,6 +539,19 @@ BAD_INPUTS = {
         {"fitted.json": FITTED, "empty.csv": "model_id,tos\n"},
         ["estimate", "--tos-file", "{empty.csv}", "--fitted", "{fitted.json}"],
         "empty.csv", "lists no model"),
+    "repeated-model-key": (
+        {"twice.json": json.dumps(model_doc([4, 4, 1])).replace(
+            '"epochs": 2000', '"epochs": 2000, "epochs": 1')},
+        ["count", "{twice.json}", "--level", "training"], "twice.json",
+        "duplicate key 'epochs'"),
+    "repeated-cost-table-key": (
+        {"twice_table.json": '{"fa": 12, "fa": 10}'},
+        ["tos", "{model.json}", "--cost-table", "{twice_table.json}"],
+        "twice_table.json", "duplicate key 'fa'"),
+    "empty-tradeoff-candidates": (
+        {"no_cands.csv": "model_id,energy_j,loss\n"},
+        ["tradeoff", "{no_cands.csv}", "--alpha", "0.5"], "no_cands.csv",
+        "candidate list is empty"),
 }
 
 
@@ -551,7 +566,15 @@ def test_bad_input_exits_2_naming_file_and_place(name, capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert bad_file in captured.err and place in captured.err, captured.err
+    assert captured.err.count(bad_file) == 1 and place in captured.err, captured.err
+
+
+def test_negative_trim_k_exits_2_before_any_trace_is_read(capsys, tmp_path):
+    # The trace does not exist: naming --trim-k shows that none was opened.
+    code = main(["ingest", str(tmp_path / "m__r0.csv"), "--trim-k", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--trim-k -1: must be non-negative" in err and "m__r0.csv" not in err, err
 
 
 def test_count_is_exact_past_the_float_range(capsys, tmp_path):

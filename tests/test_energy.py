@@ -84,8 +84,15 @@ class TestIntegration:
         ([(0.0, 1.0), (math.nan, 1.0)], "sample index 1: time and power must be finite"),
         ([(0.0, 1.0), (1.0, math.nan)], "sample index 1: time and power must be finite"),
         ([(0.0, 1.0), (1.0, math.inf)], "sample index 1: time and power must be finite"),
+        # Each sample is exactly two real numbers: none is skipped or coerced.
+        ([(0.0, 1.0), (), (1.0, 1.0)], "sample index 1: expected two real numbers"),
+        ([("0", "1"), ("1", "1")], "sample index 0: expected two real numbers"),
+        ([(False, True), (True, True)], "sample index 0: expected two real numbers"),
+        ([(0.0, 1.0, 9), (1.0, 1.0)], "sample index 0: expected two real numbers"),
+        ([(0.0,), (1.0, 2.0)], "sample index 0: expected two real numbers"),
     ], ids=["reversed time", "repeated time", "one sample", "no samples",
-            "negative power", "nan time", "nan power", "inf power"])
+            "negative power", "nan time", "nan power", "inf power", "empty pair",
+            "strings", "bools", "three numbers", "one number"])
     def test_unchecked_pairs_rejected_naming_the_index(self, samples, match):
         with pytest.raises(TraceError, match=match):
             integrate_power(samples)
@@ -95,6 +102,7 @@ class TestIntegration:
     def test_checked_pairs_from_any_iterable(self):
         assert integrate_power([(0.0, 10.0), (5.0, 10.0)]) == 50.0
         assert integrate_power(zip((0.0, 1.0, 2.0), (1.0, 3.0, 1.0))) == 4.0
+        assert integrate_power([[0, 1], [2, 1.5]]) == 2.5
 
     def test_random_polylines_match_segmentwise_quadrature(self):
         rng = random.Random(17)
