@@ -3,6 +3,8 @@
 # the arithmetic unit into adders, multipliers, dividers and a
 # Newton-Raphson loop for the transcendental slot.
 
+from operator import mul
+
 from transistor_ops import (
     Activation,
     AnalysisLevel,
@@ -15,15 +17,14 @@ from transistor_ops import (
     FullyConnected,
     Loss,
     ModelSpec,
-    OpKind,
     adder_tos,
     analyze,
-    fp_op_tos,
+    fp_cost_vector,
     scaled_unit_tos,
-    tos_from_bos,
 )
 
 table = DEFAULT_COST_TABLE
+OPS = ("add", "sub", "mul", "div", "root")  # census order
 
 # Bit-level building blocks. A 24-bit adder is 23 full adders (10
 # transistors each) plus a half adder (5): the fp32 significand path.
@@ -40,25 +41,25 @@ print("24-bit divider:   ", scaled_unit_tos(24, table.div_ref, table.scaling_exp
 # exponent-wide adder on top of the significand unit.
 print("\nper-op TO costs by float format")
 print(f"{'op':>6s} {'fp16':>12s} {'fp32':>12s} {'fp64':>12s}")
-for op in OpKind:
-    costs = [fp_op_tos(op, fmt, table) for fmt in (FP16, FP32, FP64)]
-    print(f"{op.value:>6s} " + " ".join(f"{c:12.2f}" for c in costs))
+by_format = [fp_cost_vector(fmt, table) for fmt in (FP16, FP32, FP64)]
+for op, costs in zip(OPS, zip(*by_format)):
+    print(f"{op:>6s} " + " ".join(f"{c:12.2f}" for c in costs))
 
 # The asymmetry is the whole point: one division costs ~66 adds at fp32,
 # one transcendental (3 Newton-Raphson iterations) costs ~364 adds. A
 # census that only tracked multiply-accumulates would miss all of it.
-add = fp_op_tos(OpKind.ADD, FP32, table)
+fp32 = fp_cost_vector(FP32, table)
 print("\nrelative to one fp32 add:")
-for op in OpKind:
-    print(f"  {op.value:5s} = {fp_op_tos(op, FP32, table) / add:7.1f} adds")
+for op, cost in zip(OPS, fp32):
+    print(f"  {op:5s} = {cost / fp32[0]:7.1f} adds")
 
 # Lowering a census vector is a dot product with those costs.
 census = BasicOpCounts(n_add=65, n_sub=13, n_mul=52, n_div=13, n_root=13)
-print("\ndemo census lowered at fp32:", tos_from_bos(census, FP32, table))
+print("\ndemo census lowered at fp32:", sum(map(mul, census.as_tuple(), fp32)))
 
 # A custom cost table swaps in different circuit assumptions.
-cheap_root = CostTable(newton_iterations=1)
-print("same census, 1 Newton iteration:", tos_from_bos(census, FP32, cheap_root))
+cheap_root = fp_cost_vector(FP32, CostTable(newton_iterations=1))
+print("same census, 1 Newton iteration:", sum(map(mul, census.as_tuple(), cheap_root)))
 
 # Whole-model view, including the share of work a MAC-only count misses.
 model = ModelSpec("demo", FP32,

@@ -21,12 +21,11 @@ The cost table is immutable after load and every function here is pure.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
-from .basic_ops import BasicOpCounts, census, scale_to_run
+from .basic_ops import census, scale_to_run
 from .model import (
     AnalysisLevel,
     FieldError,
@@ -40,14 +39,6 @@ from .model import (
     placed,
     read_document,
 )
-
-
-class OpKind(Enum):
-    ADD = "add"
-    SUB = "sub"
-    MUL = "mul"
-    DIV = "div"
-    ROOT = "root"
 
 
 class ScaledUnitRef(Value):
@@ -135,7 +126,10 @@ def scaled_unit_tos(bits: int, ref: ScaledUnitRef, exponent: float) -> float:
 def fp_cost_vector(fmt: FloatFormat,
                    table: CostTable = DEFAULT_COST_TABLE) -> tuple[float, ...]:
     """Transistor operations of one floating-point (add, sub, mul, div,
-    root), in census order, by the decomposition in the module notes."""
+    root), in census order, by the decomposition in the module notes.
+
+    This is the one lowering primitive: a census vector lowers to TOs as
+    its dot product with this vector, which is what :func:`analyze` does."""
     frac, exponent_add = fmt.significand_bits, adder_tos(fmt.exponent_bits, table)
     add = adder_tos(frac, table)
     times, divide = (table.xor_transistors + scaled_unit_tos(frac, ref, table.scaling_exponent)
@@ -143,21 +137,9 @@ def fp_cost_vector(fmt: FloatFormat,
     return add, add, times, divide, table.newton_iterations * (divide + times + add)
 
 
-def fp_op_tos(op: OpKind, fmt: FloatFormat,
-              table: CostTable = DEFAULT_COST_TABLE) -> float:
-    """Transistor operations for one floating-point basic operation."""
-    return fp_cost_vector(fmt, table)[list(OpKind).index(op)]
-
-
 def _dot(counts: tuple[int, ...], costs: tuple[float, ...]) -> float:
     """The n*c products summed left to right from 0, in census order."""
     return float(sum(map(mul, counts, costs)))
-
-
-def tos_from_bos(bos: BasicOpCounts, fmt: FloatFormat,
-                 table: CostTable = DEFAULT_COST_TABLE) -> float:
-    """Lower a census vector to transistor operations (linear in the census)."""
-    return _dot(bos.as_tuple(), fp_cost_vector(fmt, table))
 
 
 class PhaseTos(NamedTuple):

@@ -171,17 +171,30 @@ def integrate_power(samples: Iterable[tuple[float, float]]) -> float:
     return joules
 
 
-class ColumnAdapter(NamedTuple):
-    """Maps a vendor power-log layout onto the canonical trace.
+class ColumnAdapter(Value):
+    """Maps a vendor power-log layout onto the canonical trace: two
+    distinct columns, one for time and one for power.
 
     ``time_format`` is either ``"seconds"`` for numeric elapsed seconds
-    or a strptime pattern; pattern timestamps are converted to seconds
-    elapsed since the first row.
+    or a strptime pattern that reads back what strftime writes with it;
+    pattern timestamps are converted to seconds elapsed since the first row.
     """
 
-    time_column: str
-    power_column: str
-    time_format: str = "seconds"
+    __slots__ = ("time_column", "power_column", "time_format")
+
+    def __init__(self, time_column: str, power_column: str,
+                 time_format: str = "seconds") -> None:
+        time_column = as_name(time_column, "time_column")
+        if as_name(power_column, "power_column") == time_column:
+            raise FieldError(f"power_column: {power_column!r} is also the time_column")
+        if as_name(time_format, "time_format") != "seconds":
+            from datetime import datetime  # only adapter timestamps need it
+            try:
+                datetime.strptime(datetime(2001, 2, 3, 4, 5, 6, 7).strftime(time_format),
+                                  time_format)
+            except ValueError as e:
+                raise FieldError(f"time_format: {e}") from None
+        self._fill(time_column, power_column, time_format)
 
 
 CANONICAL_TRACE = ColumnAdapter("elapsed_s", "power_w")
@@ -189,12 +202,9 @@ CANONICAL_TRACE = ColumnAdapter("elapsed_s", "power_w")
 
 def parse_adapter(text: str) -> ColumnAdapter:
     doc = parse_json_object(text, "adapter config")
-    check_keys(doc, {"time_column", "power_column", "time_format"},
-               {"time_column", "power_column"}, "adapter config")
-    for key, value in doc.items():
-        if not isinstance(value, str):
-            raise ParseError(f"adapter config: {key} must be a string")
-    return ColumnAdapter(**doc)
+    check_keys(doc, set(ColumnAdapter.__slots__), {"time_column", "power_column"},
+               "adapter config")
+    return placed(lambda field: f"adapter config: {field}", ColumnAdapter, **doc)
 
 
 def load_adapter(path) -> ColumnAdapter:

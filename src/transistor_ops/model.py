@@ -322,11 +322,25 @@ def unique_dict(pairs: list[tuple[Any, T]], what: str = "key") -> dict[Any, T]:
     return doc
 
 
+def _int_or_inf(literal: str) -> int | float:
+    """A JSON integer literal as an int; past int's digit limit, as ±inf."""
+    try:
+        return int(literal)
+    except ValueError:
+        return float(literal)
+
+
 def parse_json_object(text: str, where: str) -> dict:
     """Decode a JSON document whose root must be an object, with no key
-    repeated in any object."""
+    repeated in any object. An integer literal too long for ``int`` is
+    read as ±inf, so the rule of the field it fills rejects it at its key."""
     try:
-        doc = json.loads(text, object_pairs_hook=unique_dict)
+        try:
+            doc = json.loads(text, object_pairs_hook=unique_dict)
+        except (json.JSONDecodeError, ParseError):
+            raise
+        except ValueError:  # past int's digit limit; the hook would slow every document
+            doc = json.loads(text, object_pairs_hook=unique_dict, parse_int=_int_or_inf)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):

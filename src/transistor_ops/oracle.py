@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from .basic_ops import BasicOpCounts, UnsupportedError
@@ -209,17 +210,11 @@ class TrainingStepTally(NamedTuple):
 
     @property
     def backprop(self) -> BasicOpCounts:
-        total = BasicOpCounts()
-        for counts in self.backprop_layers:
-            total = total + counts
-        return total
+        return sum(self.backprop_layers, BasicOpCounts())
 
     @property
     def update(self) -> BasicOpCounts:
-        total = BasicOpCounts()
-        for counts in self.update_layers:
-            total = total + counts
-        return total
+        return sum(self.update_layers, BasicOpCounts())
 
 
 def run_training_step(model: ModelSpec, inputs: Sequence[float],
@@ -315,10 +310,4 @@ def run_training_step(model: ModelSpec, inputs: Sequence[float],
 
 
 def _diff(after: BasicOpCounts, before: BasicOpCounts) -> BasicOpCounts:
-    return BasicOpCounts(
-        after.n_add - before.n_add,
-        after.n_sub - before.n_sub,
-        after.n_mul - before.n_mul,
-        after.n_div - before.n_div,
-        after.n_root - before.n_root,
-    )
+    return BasicOpCounts(*map(sub, after.as_tuple(), before.as_tuple()))

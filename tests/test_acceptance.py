@@ -28,13 +28,12 @@ from transistor_ops import (
     FullyConnected,
     Loss,
     ModelSpec,
-    OpKind,
     analyze,
     count_model,
     error_metrics,
     fit,
     flops_model,
-    fp_op_tos,
+    fp_cost_vector,
     integrate_power,
     model_family,
     run_training_step,
@@ -128,10 +127,7 @@ def test_03_oracle_equivalence_on_random_models():
             targets = [rng.uniform(0.1, 0.9) for _ in range(dims[-1])]
             tally = run_training_step(model, inputs, targets, weights=weights)
             report = count_model(model, AnalysisLevel.TRAINING)
-            forward = BasicOpCounts()
-            for profile in report.layers:
-                forward = forward + profile.forward
-            assert tally.forward == forward
+            assert tally.forward == sum((p.forward for p in report.layers), BasicOpCounts())
             assert tally.loss == report.loss
             assert tuple(tally.backprop_layers) == tuple(
                 p.backprop for p in report.layers)
@@ -141,15 +137,14 @@ def test_03_oracle_equivalence_on_random_models():
 
 def test_04_lowering_fixtures_and_format_monotonicity():
     with criterion(4, "fp32 lowering fixtures, reference circuits, format order"):
-        assert fp_op_tos(OpKind.ADD, FP32) == 235.0
-        assert fp_op_tos(OpKind.MUL, FP32) == 12_737.25
-        assert fp_op_tos(OpKind.DIV, FP32) == 15_549.75
+        add, _, times, divide, _ = fp_cost_vector(FP32)
+        assert (add, times, divide) == (235.0, 12_737.25, 15_549.75)
         assert scaled_unit_tos(64, DEFAULT_COST_TABLE.mult_ref,
                                DEFAULT_COST_TABLE.scaling_exponent) == 90_000.0
         assert scaled_unit_tos(64, DEFAULT_COST_TABLE.div_ref,
                                DEFAULT_COST_TABLE.scaling_exponent) == 110_000.0
-        for op in OpKind:
-            assert fp_op_tos(op, FP16) < fp_op_tos(op, FP32) < fp_op_tos(op, FP64)
+        for narrow, mid, wide in zip(*map(fp_cost_vector, (FP16, FP32, FP64))):
+            assert narrow < mid < wide
 
 
 def test_05_regression_recovery():

@@ -1,4 +1,5 @@
 import random
+from operator import mul
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from transistor_ops import (
     FullyConnected,
     Loss,
     ModelSpec,
-    OpKind,
     ParseError,
     PhaseTos,
     ScaledUnitRef,
@@ -25,16 +25,13 @@ from transistor_ops import (
     adder_tos,
     analyze,
     count_model,
-    fp_op_tos,
+    fp_cost_vector,
     model_family,
     parse_cost_table,
     scaled_unit_tos,
-    tos_from_bos,
 )
 
 from conftest import fc_model
-
-ALL_OPS = (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.ROOT)
 
 
 class TestAdder:
@@ -70,47 +67,54 @@ class TestScaledUnit:
             scaled_unit_tos(0, DEFAULT_COST_TABLE.mult_ref, 2.0)
 
 
+def lower(counts, fmt=FP32, table=DEFAULT_COST_TABLE):
+    """A census vector's TOs: its dot product with the cost vector."""
+    return sum(map(mul, counts.as_tuple(), fp_cost_vector(fmt, table)))
+
+
+# The cost-vector slot of each basic operation, in census order.
+OPS = ("add", "sub", "mul", "div", "root")
+ADD, SUB, MUL, DIV, ROOT = range(5)
+
+
 class TestFpOps:
     def test_fp32_fixtures(self):
-        assert fp_op_tos(OpKind.ADD, FP32) == 235.0
-        assert fp_op_tos(OpKind.MUL, FP32) == 12_737.25
-        assert fp_op_tos(OpKind.DIV, FP32) == 15_549.75
+        costs = fp_cost_vector(FP32)
+        assert (costs[ADD], costs[MUL], costs[DIV]) == (235.0, 12_737.25, 15_549.75)
 
     def test_fp64_sub_equals_add(self):
-        assert fp_op_tos(OpKind.SUB, FP64) == fp_op_tos(OpKind.ADD, FP64) == 525.0
+        assert fp_cost_vector(FP64)[SUB] == fp_cost_vector(FP64)[ADD] == 525.0
 
     @pytest.mark.parametrize("fmt", [FP16, FP32, FP64])
     def test_sub_equals_add_everywhere(self, fmt):
-        assert fp_op_tos(OpKind.SUB, fmt) == fp_op_tos(OpKind.ADD, fmt)
+        assert fp_cost_vector(fmt)[SUB] == fp_cost_vector(fmt)[ADD]
 
     def test_root_is_newton_iterations_of_div_mul_add(self):
-        per_iter = (fp_op_tos(OpKind.DIV, FP32) + fp_op_tos(OpKind.MUL, FP32)
-                    + fp_op_tos(OpKind.ADD, FP32))
-        assert fp_op_tos(OpKind.ROOT, FP32) == 3 * per_iter
+        for table in (DEFAULT_COST_TABLE, CostTable(newton_iterations=5)):
+            add, _, times, divide, root = fp_cost_vector(FP32, table)
+            assert root == table.newton_iterations * (divide + times + add)
 
-    @pytest.mark.parametrize("op", ALL_OPS)
+    @pytest.mark.parametrize("op", range(5), ids=OPS)
     def test_wider_formats_cost_more(self, op):
-        assert fp_op_tos(op, FP16) < fp_op_tos(op, FP32) < fp_op_tos(op, FP64)
+        assert fp_cost_vector(FP16)[op] < fp_cost_vector(FP32)[op] < fp_cost_vector(FP64)[op]
 
 
 class TestLowering:
     def test_one_add_one_mul(self):
-        assert tos_from_bos(BasicOpCounts(n_add=1, n_mul=1), FP32) == 12_972.25
+        assert lower(BasicOpCounts(n_add=1, n_mul=1)) == 12_972.25
 
     def test_zero_census_costs_nothing(self):
-        assert tos_from_bos(BasicOpCounts(), FP16) == 0.0
+        assert lower(BasicOpCounts(), FP16) == 0.0
 
     def test_single_div_equals_its_op_cost(self):
-        assert tos_from_bos(BasicOpCounts(n_div=1), FP32) == fp_op_tos(OpKind.DIV, FP32)
+        assert lower(BasicOpCounts(n_div=1)) == fp_cost_vector(FP32)[DIV]
 
     def test_linearity(self):
         rng = random.Random(11)
         for _ in range(30):
             a = BasicOpCounts(*(rng.randint(0, 40) for _ in range(5)))
             b = BasicOpCounts(*(rng.randint(0, 40) for _ in range(5)))
-            lhs = tos_from_bos(a + b, FP32)
-            rhs = tos_from_bos(a, FP32) + tos_from_bos(b, FP32)
-            assert lhs == pytest.approx(rhs, rel=1e-15)
+            assert lower(a + b) == pytest.approx(lower(a) + lower(b), rel=1e-15)
 
 
 class TestCostTableParsing:
@@ -144,7 +148,7 @@ class TestCostTableParsing:
 class TestAnalyze:
     def test_width4_inference_composition(self, width4_dnn):
         profile = analyze(width4_dnn, AnalysisLevel.INFERENCE)
-        want = tos_from_bos(BasicOpCounts(65, 13, 52, 13, 13), FP32)
+        want = lower(BasicOpCounts(65, 13, 52, 13, 13))
         assert profile.per_instance.total == pytest.approx(want, rel=1e-15)
         # brute-force check: summing the per-layer lowering agrees
         assert sum(profile.layer_forward) == pytest.approx(want, rel=1e-15)
@@ -233,18 +237,19 @@ def nonlinear_run_census(model, level, report):
 
 
 def lowered_report(model, level, table):
-    """Lower the ``count_model`` report with ``tos_from_bos``, in the order
-    the lowering has always summed: each layer's census vector, then the
-    layer sums, then the run and step scaling."""
+    """Lower the ``count_model`` report by dot products with
+    ``fp_cost_vector``, in the order the lowering has always summed: each
+    layer's census vector, then the layer sums, then the run and step
+    scaling."""
     report = count_model(model, level)
 
-    def lower(bos):
-        return tos_from_bos(bos, model.float_format, table)
+    def lowered(bos):
+        return float(lower(bos, model.float_format, table))
 
-    layer_forward = tuple(lower(p.forward) for p in report.layers)
-    layer_backprop = tuple(lower(p.backprop) for p in report.layers)
-    update = lower(report.update_per_batch)
-    per_instance = PhaseTos(sum(layer_forward), sum(layer_backprop), lower(report.loss), 0.0)
+    layer_forward = tuple(lowered(p.forward) for p in report.layers)
+    layer_backprop = tuple(lowered(p.backprop) for p in report.layers)
+    update = lowered(report.update_per_batch)
+    per_instance = PhaseTos(sum(layer_forward), sum(layer_backprop), lowered(report.loss), 0.0)
     instances, steps = model.instances_per_run, model.steps_per_run
     per_run = PhaseTos(per_instance.forward * instances, per_instance.backprop * instances,
                        per_instance.loss * instances, update * steps)
@@ -252,7 +257,7 @@ def lowered_report(model, level, table):
     per_step = PhaseTos(per_run.forward * step, per_run.backprop * step,
                         per_run.loss * step, per_run.update * step)
     total = per_run.total
-    share = lower(nonlinear_run_census(model, level, report)) / total if total > 0 else 0.0
+    share = lowered(nonlinear_run_census(model, level, report)) / total if total > 0 else 0.0
     return ToProfile(layer_forward, layer_backprop, update, per_instance, per_run,
                      per_step, share)
 

@@ -548,6 +548,26 @@ BAD_INPUTS = {
         {"twice_table.json": '{"fa": 12, "fa": 10}'},
         ["tos", "{model.json}", "--cost-table", "{twice_table.json}"],
         "twice_table.json", "duplicate key 'fa'"),
+    "over-long-cost-table-integer": (
+        {"long_table.json": '{"fa": %s}' % ("9" * 5000)},
+        ["tos", "{model.json}", "--cost-table", "{long_table.json}"],
+        "long_table.json", "cost table: fa: expected a finite number, got inf"),
+    "over-long-model-integer": (
+        {"long.json": json.dumps(model_doc([4, 4, 1])).replace(
+            '"inputs": 4', '"inputs": %s' % ("9" * 5000), 1)},
+        ["count", "{long.json}"], "long.json",
+        "layers[0].inputs: expected an integer, got inf"),
+    "bad-adapter-time-format": (
+        {"q_adapter.json": json.dumps({"time_column": "t", "power_column": "p",
+                                       "time_format": "%Q"}),
+         "m__r0.csv": "t,p\n12:00,1\n12:01,2\n"},
+        ["ingest", "{m__r0.csv}", "--adapter", "{q_adapter.json}", "--trim-k", "0"],
+        "q_adapter.json", "adapter config: time_format: 'Q' is a bad directive"),
+    "adapter-column-named-twice": (
+        {"twice_adapter.json": json.dumps({"time_column": "t", "power_column": "t"}),
+         "m__r0.csv": "t,p\n0,1\n1,2\n"},
+        ["ingest", "{m__r0.csv}", "--adapter", "{twice_adapter.json}", "--trim-k", "0"],
+        "twice_adapter.json", "adapter config: power_column: 't' is also the time_column"),
     "empty-tradeoff-candidates": (
         {"no_cands.csv": "model_id,energy_j,loss\n"},
         ["tradeoff", "{no_cands.csv}", "--alpha", "0.5"], "no_cands.csv",
@@ -566,6 +586,7 @@ def test_bad_input_exits_2_naming_file_and_place(name, capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
+    assert "set_int_max_str_digits" not in captured.err, captured.err
     assert captured.err.count(bad_file) == 1 and place in captured.err, captured.err
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -399,6 +400,16 @@ class TestTraceParsing:
     def test_adapter_config_parsing(self):
         adapter = parse_adapter('{"time_column": "t", "power_column": "p"}')
         assert adapter == ColumnAdapter("t", "p", "seconds")
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"time_column": 3, "power_column": "p"}, "time_column: expected a non-empty string"),
+        ({"time_column": "t", "power_column": "t"}, "power_column: 't' is also the time_column"),
+        ({"time_column": "t", "power_column": "p", "time_format": "%Q"},
+         "time_format: 'Q' is a bad directive"),
+    ])
+    def test_adapter_field_errors_name_the_key(self, doc, message):
+        with pytest.raises(ParseError, match=f"^adapter config: {message}"):
+            parse_adapter(json.dumps(doc))
 
     def test_adapter_unknown_key(self):
         with pytest.raises(ParseError, match="unit"):

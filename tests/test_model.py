@@ -166,6 +166,17 @@ class TestParse:
         with pytest.raises(ParseError, match=r"layers\[0\]\.inputs"):
             parse_model(json.dumps(doc))
 
+    def test_integer_past_the_digit_limit_is_named_at_its_key(self):
+        # The 401-digit fan-in still reads exactly; only the over-long
+        # literal becomes inf, which the epochs rule rejects.
+        text = json.dumps(model_doc([10 ** 400, 1])).replace(
+            '"epochs": 2000', '"epochs": -' + "9" * 5000)
+        with pytest.raises(ParseError, match=r"^training\.epochs: expected an integer, "
+                                             r"got -inf$"):
+            parse_model(text)
+        with pytest.raises(ParseError, match=r"^line 1, column \d+: "):
+            parse_model(text[:-1])
+
     def test_conv_layer_parses(self):
         doc = model_doc([2, 1])
         doc["layers"] = [{"kind": "convolutional", "out_width": 2, "kernel": 3,

@@ -173,10 +173,7 @@ class TestAgreementWithCensus:
             targets = [rng.uniform(0.1, 0.9) for _ in range(dims[-1])]
             tally = run_training_step(m, inputs, targets, weights=weights)
             report = count_model(m, AnalysisLevel.TRAINING)
-            forward = BasicOpCounts()
-            for profile in report.layers:
-                forward = forward + profile.forward
-            assert tally.forward == forward
+            assert tally.forward == sum((p.forward for p in report.layers), BasicOpCounts())
             assert tally.loss == report.loss
             for got, profile in zip(tally.backprop_layers, report.layers):
                 assert got == profile.backprop

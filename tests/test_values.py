@@ -1,6 +1,6 @@
 """Semantics of the package's value classes and plain records.
 
-The nine validated classes share one base (``transistor_ops.model.Value``):
+The ten validated classes share one base (``transistor_ops.model.Value``):
 equality and hashing by fields within one class, no assignment, a
 ``_replace`` that validates the copy again, and a check of every field
 that names the field. The plain records are ``NamedTuple``s, so they are
@@ -18,6 +18,7 @@ from transistor_ops import (
     Activation,
     AnalysisLevel,
     BasicOpCounts,
+    ColumnAdapter,
     Convolutional,
     CostTable,
     DEFAULT_COST_TABLE,
@@ -33,9 +34,8 @@ from transistor_ops import (
     analyze,
     count_model,
     error_metrics,
+    fp_cost_vector,
 )
-from transistor_ops.circuits import fp_cost_vector
-from transistor_ops.energy import parse_adapter
 from transistor_ops.model import Value
 
 from conftest import fc_model
@@ -77,6 +77,10 @@ VALUES = {
     LinearModel: (lambda: LinearModel(1.0, 2.0, 0.5, 3), {"r_squared": 2.0}, ValueError,
                   {"intercept": NUMBER, "slope": NUMBER, "r_squared": NUMBER,
                    "n_points": COUNT + (1,)}),
+    ColumnAdapter: (lambda: ColumnAdapter("System Time", "IA Power", "%H:%M:%S:%f"),
+                    {"power_column": "System Time"}, ValidationError,
+                    {"time_column": ("", 3), "power_column": (None, "System Time"),
+                     "time_format": ("", "%Q", "%", True)}),
 }
 CLASSES = list(VALUES)
 BAD_FIELDS = [(cls, field, value) for cls, (*_, bad) in VALUES.items()
@@ -225,8 +229,7 @@ def test_plain_records_are_tuples():
     profile = analyze(model, AnalysisLevel.TRAINING)
     tally = transistor_ops.run_training_step(model, [0.3] * 4, [0.5])
     records = [report, report.layers[0], profile, profile.per_run,
-               error_metrics([1.0], [2.0]),
-               parse_adapter('{"time_column": "t", "power_column": "p"}'), tally]
+               error_metrics([1.0], [2.0]), tally]
     for record in records:
         assert isinstance(record, tuple)
         assert record == tuple(record)
