@@ -7,10 +7,10 @@ traces to energy samples), ``fit`` (workload-to-energy regression),
 ``compare`` (scorecard against measurements) and ``tradeoff`` (energy
 versus loss selection).
 
-Every command is deterministic given its inputs; tables are CSV with a
-header row. Numeric output uses 6 significant digits unless ``--raw``
-asks for full precision. Exit codes: 0 success, 2 input or parse error,
-3 unsupported configuration.
+Each command is deterministic and returns its output; ``main`` writes it
+once the command has succeeded. Tables are CSV with a header row, and
+numbers have 6 significant digits unless ``--raw`` asks for all of them.
+Exit codes: 0 success, 2 input or parse error, 3 unsupported configuration.
 """
 
 from __future__ import annotations
@@ -83,13 +83,6 @@ def _in_model(path: str, model_id: str):
     return located(f"{path}: model {model_id!r}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _load_model(path: str, fmt_key: str | None) -> ModelSpec:
     model = parse_model_file(path)
     if fmt_key:
@@ -149,28 +142,27 @@ def _counts_row(counts: BasicOpCounts) -> list[str]:
     return [str(n) for n in counts.as_tuple()]
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> str:
     model = _load_model(args.model, None)
     level = AnalysisLevel(args.level)
     with _in_model(args.model, model.name):
         report = count_model(model, level)
-    rows = [["scope", "layer", "phase", "n_add", "n_sub", "n_mul", "n_div", "n_root"]]
-    for index, profile in enumerate(report.layers, start=1):
-        rows.append(["per_instance", str(index), "forward"] + _counts_row(profile.forward))
+    phases = [("per_instance", "forward", "forward")]  # (scope, phase, LayerProfile field)
     if level.includes_backprop:
+        phases += [("per_instance", "backprop", "backprop"),
+                   ("per_batch", "update", "update_per_batch")]
+    rows = [["scope", "layer", "phase", "n_add", "n_sub", "n_mul", "n_div", "n_root"]]
+    for scope, phase, field in phases:
         for index, profile in enumerate(report.layers, start=1):
-            rows.append(["per_instance", str(index), "backprop"] + _counts_row(profile.backprop))
-        for index, profile in enumerate(report.layers, start=1):
-            rows.append(["per_batch", str(index), "update"] + _counts_row(profile.update_per_batch))
+            rows.append([scope, str(index), phase] + _counts_row(getattr(profile, field)))
     if level.includes_loss:
         rows.append(["per_instance", "all", "loss"] + _counts_row(report.loss))
     rows.append(["per_instance", "all", "total"] + _counts_row(report.per_instance))
     rows.append(["per_run", "all", "total"] + _counts_row(report.per_run))
-    _emit(write_table(rows), args.out)
-    return EXIT_OK
+    return write_table(rows)
 
 
-def cmd_tos(args) -> int:
+def cmd_tos(args) -> str:
     model = _load_model(args.model, args.format)
     level = AnalysisLevel(args.level)
     table = _load_table(args.cost_table)
@@ -196,8 +188,7 @@ def cmd_tos(args) -> int:
             rows.append(["per_run", name, _fmt(value, raw)])
         rows.append(["per_step", "total", _fmt(profile.per_step.total, raw)])
         rows.append(["all", "nonlinear_share", _fmt(profile.nonlinear_share, raw)])
-    _emit(write_table(rows), args.out)
-    return EXIT_OK
+    return write_table(rows)
 
 
 def _trace_identity(path: str) -> tuple[str, str]:
@@ -215,7 +206,7 @@ def _trace_identity(path: str) -> tuple[str, str]:
     return model_id, run_id
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> str:
     if args.trim_k < 0:
         raise ValueError(f"--trim-k {args.trim_k}: must be non-negative")
     adapter = load_adapter(args.adapter) if args.adapter else None
@@ -235,16 +226,14 @@ def cmd_ingest(args) -> int:
         with _in_model(", ".join(paths), model_id):
             aggregated.append(EnergySample(model_id, AGGREGATE_RUN,
                                            trimmed_mean(values, args.trim_k)))
-    _emit(write_energy_samples(samples + aggregated), args.out)
-    return EXIT_OK
+    return write_energy_samples(samples + aggregated)
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> str:
     pairs = _read_rows(args.pairs, {"tos": finite_float, "joules": finite_float})
     with located(args.pairs):
         model = fit(pairs)
-    _emit(write_linear_model(model), args.out)
-    return EXIT_OK
+    return write_linear_model(model)
 
 
 def _at_scale(scale: str, model: ModelSpec, profile: ToProfile,
@@ -261,15 +250,15 @@ def _at_scale(scale: str, model: ModelSpec, profile: ToProfile,
     return tos, float(macs), float(2 * macs)
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> str:
     lr = load_linear_model(args.fitted)
     level = AnalysisLevel(args.level)
     table = _load_table(args.cost_table)
     rows = [["model_id", "tos", "predicted_j"]]
     entries: list[tuple[str, str, float]] = []
     if args.tos_file:
-        entries = [(args.tos_file, model_id, tos) for model_id, tos in
-                   _read_rows(args.tos_file, {"model_id": str, "tos": finite_float})]
+        entries = [(args.tos_file, model_id, tos)
+                   for model_id, tos in _read_by_id(args.tos_file, "tos").items()]
         with located(args.tos_file):
             if not (entries or args.models):
                 raise ValueError("the table lists no model")
@@ -283,8 +272,7 @@ def cmd_estimate(args) -> int:
     for source, model_id, tos in entries:
         with _in_model(source, model_id):
             rows.append([model_id, _fmt(tos, args.raw), _fmt(lr.predict(tos), args.raw)])
-    _emit(write_table(rows), args.out)
-    return EXIT_OK
+    return write_table(rows)
 
 
 def _sweep_svg(points: dict[str, list[tuple[float, float]]]) -> str:
@@ -323,7 +311,7 @@ def _sweep_svg(points: dict[str, list[tuple[float, float]]]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     base = _load_model(args.base, args.format)
     activations = _parse_activations(args.activations)
     widths = _parse_widths(args.widths, len(activations))
@@ -331,27 +319,25 @@ def cmd_sweep(args) -> int:
     table = _load_table(args.cost_table)
     lr = load_linear_model(args.fitted_model) if args.fitted_model else None
     with _in_model(args.base, base.name):
-        members = iter(model_family(base, widths, activations))
+        family = model_family(base, widths, activations)
     rows = [["width", "activation", "tos", "macs", "flops", "predicted_j"]]
     svg_points: dict[str, list[tuple[float, float]]] = {}
-    for width in widths:
-        for act in activations:
-            member = next(members)
-            with _in_model(args.base, member.name):
-                tos, macs, flops = _at_scale(args.scale, member,
-                                             analyze(member, level, table),
-                                             flops_model(member, level))
-                predicted = _fmt(lr.predict(tos), args.raw) if lr else ""
-                rows.append([str(width), act.value, _fmt(tos, args.raw),
-                             _fmt(macs, args.raw), _fmt(flops, args.raw), predicted])
-            svg_points.setdefault(act.value, []).append((float(width), tos))
-    _emit(write_table(rows), args.out)
+    for member in family:
+        first = member.layers[0]  # it carries the member's width and activation
+        with _in_model(args.base, member.name):
+            tos, macs, flops = _at_scale(args.scale, member,
+                                         analyze(member, level, table),
+                                         flops_model(member, level))
+            predicted = _fmt(lr.predict(tos), args.raw) if lr else ""
+            rows.append([str(first.outputs), first.activation.value, _fmt(tos, args.raw),
+                         _fmt(macs, args.raw), _fmt(flops, args.raw), predicted])
+        svg_points.setdefault(first.activation.value, []).append((float(first.outputs), tos))
     if args.svg:
         Path(args.svg).write_text(_sweep_svg(svg_points), encoding="utf-8")
-    return EXIT_OK
+    return write_table(rows)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> str:
     pred_tos = _read_by_id(args.predictions_tos, "predicted_j")
     pred_flops = _read_by_id(args.predictions_flops, "predicted_j")
     actual = _read_by_id(args.actual, "joules")
@@ -388,20 +374,19 @@ def cmd_compare(args) -> int:
         summary.append([name, _fmt(min(report.precision), raw),
                         _fmt(max(report.precision), raw),
                         _fmt(report.avg_error, raw), _fmt(report.max_error, raw)])
-    _emit(write_table(rows) + "\n" + write_table(summary), args.out)
-    return EXIT_OK
+    return write_table(rows) + "\n" + write_table(summary)
 
 
-def cmd_tradeoff(args) -> int:
+def cmd_tradeoff(args) -> str:
     candidates = _read_rows(args.candidates, {"model_id": str, "energy_j": finite_float,
                                               "loss": finite_float})
+    with located(args.candidates):
+        unique_dict([(row[0], row) for row in candidates], "model_id")
     with located(f"{args.candidates} with --alpha {args.alpha}"):
-        selected = tradeoff_select(candidates, args.alpha)
-    sys.stdout.write(selected + "\n")
-    return EXIT_OK
+        return tradeoff_select(candidates, args.alpha) + "\n"
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> str:
     from .oracle import default_inputs, default_weights, run_training_step
     model = _load_model(args.model, None)
     with _in_model(args.model, model.name):
@@ -416,8 +401,7 @@ def cmd_oracle(args) -> int:
         rows.append([f"backprop_layer_{index}"] + _counts_row(counts))
     rows.append(["backprop"] + _counts_row(tally.backprop))
     rows.append(["update"] + _counts_row(tally.update))
-    _emit(write_table(rows), args.out)
-    return EXIT_OK
+    return write_table(rows)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -499,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("candidates", help="CSV with header model_id,energy_j,loss")
     p.add_argument("--alpha", type=float, required=True,
                    help="energy weight in [0, 1]")
-    p.set_defaults(handler=cmd_tradeoff)
+    p.set_defaults(handler=cmd_tradeoff, out=None)  # no --out: it prints one id
 
     # Debugging aid: run the instrumented scalar executor on a model file.
     p = sub.add_parser("oracle")
@@ -515,7 +499,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        text = args.handler(args)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK
     except UnsupportedError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED

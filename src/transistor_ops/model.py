@@ -343,6 +343,8 @@ def parse_json_object(text: str, where: str) -> dict:
             doc = json.loads(text, object_pairs_hook=unique_dict, parse_int=_int_or_inf)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{where}: nested too deeply to decode") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected an object")
     return doc

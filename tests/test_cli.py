@@ -416,8 +416,12 @@ CONV_DOC = json.dumps(dict(model_doc([8, 1]), layers=[
      "out_channels": 2, "activation": "gelu"},
     {"kind": "fully_connected", "inputs": 8, "outputs": 1, "activation": "sigmoid"}]))
 
+# Deeper than any JSON decoder's recursion limit.
+DEEP = "[" * 100_000 + "]" * 100_000
+
 # name -> (files to write, argv with {file names} filled in, the file the
-# error must name, where in that file the bad value sits)
+# error must name, where in that file the bad value sits); every {name}
+# is a path in one temporary directory, written or not.
 BAD_INPUTS = {
     "nan-trace": ({"nan__r0.csv": "elapsed_s,power_w\n0.0,10.0\n0.5,11.0\n1.0,nan\n"},
                   ["ingest", "{nan__r0.csv}", "--trim-k", "0"], "nan__r0.csv", "row 4"),
@@ -572,17 +576,33 @@ BAD_INPUTS = {
         {"no_cands.csv": "model_id,energy_j,loss\n"},
         ["tradeoff", "{no_cands.csv}", "--alpha", "0.5"], "no_cands.csv",
         "candidate list is empty"),
+    "deep-cost-table": ({"deep_table.json": '{"fa": %s}' % DEEP},
+                        ["tos", "{model.json}", "--cost-table", "{deep_table.json}"],
+                        "deep_table.json", "cost table: nested too deeply"),
+    "deep-model": ({"deep.json": json.dumps(model_doc([4, 4, 1])).replace(
+                        '"epochs": 2000', '"epochs": ' + DEEP)},
+                   ["count", "{deep.json}"], "deep.json", "nested too deeply"),
+    "duplicate-tos-file-id": (
+        {"fitted.json": FITTED, "dup_tos.csv": "model_id,tos\na,100\na,200\n"},
+        ["estimate", "--tos-file", "{dup_tos.csv}", "--fitted", "{fitted.json}"],
+        "dup_tos.csv", "duplicate model_id 'a'"),
+    "duplicate-tradeoff-candidate": (
+        {"dup_cands.csv": "model_id,energy_j,loss\na,100,0.1\nb,200,0.2\na,50,0.3\n"},
+        ["tradeoff", "{dup_cands.csv}", "--alpha", "0.5"], "dup_cands.csv",
+        "duplicate model_id 'a'"),
+    "sweep-svg-unwritable": ({}, ["sweep", "{model.json}", "--widths", "3..4",
+                                  "--svg", "{missing/x.svg}"], "x.svg",
+                             "No such file or directory"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_naming_file_and_place(name, capsys, tmp_path):
     files, argv, bad_file, place = BAD_INPUTS[name]
-    paths = {"model.json": write_model_doc(tmp_path / "model.json", model_doc([4, 4, 1]))}
+    write_model_doc(tmp_path / "model.json", model_doc([4, 4, 1]))
     for file_name, text in files.items():
         (tmp_path / file_name).write_text(text)
-        paths[file_name] = str(tmp_path / file_name)
-    code = main([paths[a[1:-1]] if a.startswith("{") else a for a in argv])
+    code = main([str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

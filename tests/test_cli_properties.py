@@ -1,6 +1,7 @@
 """Property of the CLI's error path: any argv over generated good and bad
-input files exits 0, 2 or 3, prints nothing on stdout when it fails, and
-lets no exception escape."""
+input files exits 0, 2 or 3, lets no exception escape, and writes its
+result to ``--out`` or to stdout, never both; a call that fails writes
+neither."""
 
 import contextlib
 import io
@@ -32,21 +33,30 @@ FITTED = {"intercept_j": 2393.0, "slope_j_per_to": 9.6e-6, "r_squared": 0.99,
           "n_points": 10}
 ADAPTER = {"time_column": "t", "power_column": "p", "time_format": "seconds"}
 
+# Nesting deeper than the JSON decoder's recursion limit.
+DEEP = 100_000
+
+
+def outputs(name):
+    """An output path that can be written, or one under a missing directory."""
+    return st.sampled_from(["{%s}" % name, "{missing/%s}" % name])
+
 
 @st.composite
 def documents(draw, doc, paths, values=VALUES):
     """``doc`` as JSON bytes: as it is, with a value set at one of
-    ``paths``, with its first key repeated, cut short, or not UTF-8."""
-    how = draw(st.sampled_from(["good", "good", "value", "value", "repeated", "cut",
-                                "bytes"]))
-    if how == "value":
+    ``paths`` or arrays nested too deeply there, with its first key
+    repeated, cut short, or not UTF-8."""
+    how = draw(st.sampled_from(["good", "good", "value", "value", "deep", "repeated",
+                                "cut", "bytes"]))
+    if how in ("value", "deep"):
         doc = json.loads(json.dumps(doc))
         *parents, key = draw(st.sampled_from(paths))
         target = doc
         for part in parents:
             target = target[part]
-        target[key] = draw(values)
-    text = json.dumps(doc)
+        target[key] = draw(values) if how == "value" else "<deep>"
+    text = json.dumps(doc).replace('"<deep>"', "[" * DEEP + "]" * DEEP)
     if how == "repeated":
         key, value = next(iter(doc.items()))
         text = "{" + f"{json.dumps(key)}: {json.dumps(value)}, " + text[1:]
@@ -145,6 +155,8 @@ def calls(draw):
                                                             "foo", " , "]))]
         if draw(st.booleans()):
             argv += ["--fitted-model", put("fitted.json", flat(FITTED))]
+        if draw(st.booleans()):
+            argv += ["--svg", draw(outputs("svg"))]
     if command == "oracle" and draw(st.booleans()):
         argv += ["--seed", "3"]
     if command in ("count", "tos", "estimate", "sweep"):
@@ -158,6 +170,8 @@ def calls(draw):
             argv.append("--raw")
     if command in ("estimate", "sweep"):
         argv += ["--scale", draw(st.sampled_from(["instance", "step", "run"]))]
+    if command != "tradeoff" and draw(st.booleans()):
+        argv += ["--out", draw(outputs("out"))]
     return files, argv
 
 
@@ -172,6 +186,10 @@ def test_any_call_exits_0_2_or_3_and_never_raises(call):
         argv = [str(Path(directory) / a[1:-1]) if a.startswith("{") else a for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        wrote_out = (Path(directory) / "out").exists()
     assert code in (0, 2, 3), (argv, err.getvalue())
     if code:
         assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv
+        assert not wrote_out, argv
+    else:
+        assert wrote_out == ("--out" in argv) == (out.getvalue() == ""), argv

@@ -4,7 +4,9 @@ Each case runs one command on the inputs under ``tests/golden`` and
 compares its stdout (and its ``--svg`` or ``--out`` file, where it
 writes one) with the bytes stored under ``tests/golden/expected``. The
 stored bytes were produced by an earlier version of the program, so any
-change to a printed digit, a row order or a column fails here.
+change to a printed digit, a row order or a column fails here. Each
+case that prints its result runs once more with ``--out``, which must
+write the same bytes to the file and leave stdout empty.
 
 The cases cover every subcommand, fully-connected and conv+FC models,
 all three levels and scales, and both ``--raw`` and 6-digit output.
@@ -101,5 +103,20 @@ def test_output_matches_golden(name, capsys, tmp_path):
         assert got == b""
         got = (tmp_path / "out").read_bytes()
     assert got == (EXPECTED / f"{name}.txt").read_bytes()
+    if "{svg}" in CASES[name]:
+        assert (tmp_path / "svg").read_bytes() == (EXPECTED / f"{name}.svg").read_bytes()
+
+
+# tradeoff has no --out.
+PRINTED = sorted(name for name in CASES
+                 if "{out}" not in CASES[name] and CASES[name][0] != "tradeoff")
+
+
+@pytest.mark.parametrize("name", PRINTED)
+def test_out_file_matches_golden(name, capsys, tmp_path):
+    code = main(resolve(CASES[name] + ["--out", "{out}"], tmp_path))
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "out").read_bytes() == (EXPECTED / f"{name}.txt").read_bytes()
     if "{svg}" in CASES[name]:
         assert (tmp_path / "svg").read_bytes() == (EXPECTED / f"{name}.svg").read_bytes()

@@ -1,11 +1,18 @@
 """The census and its lowering against the benchmark's own reference
 (``bench/reference.py``), which keeps every quantity exact with
 ``fractions.Fraction``: the cost vectors are equal, every census integer
-is equal, and every ``analyze`` row is within the benchmark's relative
-tolerance of the exact value."""
+is equal, and every ``analyze`` row, and every row ``tos --raw`` prints,
+is within the benchmark's relative tolerance of the exact value. So are
+the TOs ``sweep --raw`` prints, and the MACs and FLOPs it prints are the
+exact values, rounded once."""
 
+import contextlib
+import csv
+import io
+import itertools
 import json
 import runpy
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -20,6 +27,7 @@ from transistor_ops import (
     fp_cost_vector,
     parse_model,
 )
+from transistor_ops.cli import main
 
 REFERENCE = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "reference.py"))
 
@@ -53,8 +61,8 @@ def fc_layer(inputs, outputs, activation):
 
 
 @st.composite
-def fc_stacks(draw, max_width=5000):
-    dims = draw(st.lists(st.integers(1, max_width), min_size=2, max_size=7))
+def fc_stacks(draw, max_width=5000, min_layers=1):
+    dims = draw(st.lists(st.integers(1, max_width), min_size=min_layers + 1, max_size=7))
     return [fc_layer(i, o, draw(ACTIVATIONS)) for i, o in zip(dims, dims[1:])]
 
 
@@ -93,6 +101,18 @@ def analyze_rows(profile, level):
     return rows
 
 
+def printed_rows(argv, doc):
+    """The CSV rows below the header that ``main(argv)`` prints, with the
+    token ``{doc}`` in ``argv`` naming a file that holds ``doc``."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(out):
+            assert main([str(path) if a == "{doc}" else a for a in argv]) == 0
+    return list(csv.reader(io.StringIO(out.getvalue())))[1:]
+
+
 def check_against_reference(doc, level):
     model = parse_model(json.dumps(doc))
     report = count_model(model, level)
@@ -111,6 +131,12 @@ def check_against_reference(doc, level):
     for row, exact in want.items():
         assert got[row] == pytest.approx(float(exact), rel=TOS_REL, abs=0.0), row
 
+    printed = {(scope, quantity): float(value) for scope, quantity, value in
+               printed_rows(["tos", "{doc}", "--level", level.value, "--raw"], doc)}
+    assert printed.keys() == want.keys()
+    for row, exact in want.items():
+        assert printed[row] == pytest.approx(float(exact), rel=TOS_REL, abs=0.0), row
+
 
 @SETTINGS
 @given(documents(fc_stacks()), st.sampled_from(list(AnalysisLevel)))
@@ -123,3 +149,31 @@ def test_fc_documents_match_the_reference(doc, level):
        st.sampled_from([AnalysisLevel.INFERENCE, AnalysisLevel.VALIDATION]))
 def test_conv_fc_documents_match_the_reference(doc, level):
     check_against_reference(doc, level)
+
+
+def member_doc(base, width, activation):
+    """The document of the member ``model_family`` builds from ``base``
+    at ``width`` with ``activation``."""
+    first, *hidden, last = base["layers"]
+    return dict(base, layers=[fc_layer(first["inputs"], width, activation),
+                              *[fc_layer(width, width, activation) for _ in hidden],
+                              fc_layer(width, last["outputs"], last["activation"])])
+
+
+@settings(SETTINGS, max_examples=30)
+@given(documents(fc_stacks(min_layers=2)), st.sampled_from(list(AnalysisLevel)),
+       st.integers(1, 5000), st.lists(ACTIVATIONS, min_size=1, max_size=2, unique=True))
+def test_sweep_prints_the_reference_workloads(base, level, width, activations):
+    widths = [width, width + 1]
+    for scale in ("instance", "step", "run"):
+        rows = printed_rows(["sweep", "{doc}", "--widths", f"{width}..{width + 1}",
+                             "--activations", ",".join(activations), "--level",
+                             level.value, "--scale", scale, "--raw"], base)
+        members = list(itertools.product(widths, activations))
+        assert [(int(row[0]), row[1]) for row in rows] == members
+        for (w, act), row in zip(members, rows):
+            doc = member_doc(base, w, act)
+            exact_tos = float(REFERENCE["tos"](doc, level.value, scale))
+            assert float(row[2]) == pytest.approx(exact_tos, rel=TOS_REL, abs=0.0), row
+            macs = REFERENCE["macs_at"](doc, level.value, scale)
+            assert (float(row[3]), float(row[4])) == (float(macs), float(2 * macs)), row
