@@ -27,8 +27,8 @@ _EXPORTS = {
     "model": ("Activation", "AnalysisLevel", "Convolutional", "FLOAT_FORMATS", "FP16",
               "FP32", "FP64", "FloatFormat", "FullyConnected", "LayerSpec", "Loss",
               "ModelSpec", "ParseError", "ValidationError", "model_family", "parse_model",
-              "parse_model_file", "serialize_model"),
-    "oracle": ("CountingScalar", "TrainingStepTally", "run_forward", "run_training_step"),
+              "parse_model_file"),
+    "oracle": ("CountingScalar", "TrainingStepTally", "run_training_step"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -86,7 +86,7 @@ def _in_model(path: str, model_id: str):
 def _load_model(path: str, fmt_key: str | None) -> ModelSpec:
     model = parse_model_file(path)
     if fmt_key:
-        model = model.with_float_format(FLOAT_FORMATS[fmt_key])
+        model = model._replace(float_format=FLOAT_FORMATS[fmt_key])
     return model
 
 
@@ -269,8 +269,14 @@ def cmd_estimate(args) -> str:
         with _in_model(path, model.name):
             entries.append((path, model.name,
                             _at_scale(args.scale, model, analyze(model, level, table))[0]))
+    first_source: dict[str, str] = {}
     for source, model_id, tos in entries:
         with _in_model(source, model_id):
+            if model_id in first_source:
+                first = first_source[model_id]
+                raise ValueError("duplicate model_id, " + (
+                    "the file is given twice" if first == source else f"first from {first}"))
+            first_source[model_id] = source
             rows.append([model_id, _fmt(tos, args.raw), _fmt(lr.predict(tos), args.raw)])
     return write_table(rows)
 

@@ -141,16 +141,13 @@ class Value:
 
 
 class FloatFormat(Value):
-    """IEEE-754 style binary float layout: sign, exponent, fraction bits."""
+    """IEEE-754 style binary float layout: one sign bit, exponent and fraction bits."""
 
-    __slots__ = ("exponent_bits", "fraction_bits", "sign_bits")
+    __slots__ = ("exponent_bits", "fraction_bits")
 
-    def __init__(self, exponent_bits: int, fraction_bits: int, sign_bits: int = 1) -> None:
-        if as_count(sign_bits, "sign_bits") != 1:
-            raise FieldError(f"sign_bits: float formats carry exactly one sign bit, "
-                             f"got {sign_bits}")
+    def __init__(self, exponent_bits: int, fraction_bits: int) -> None:
         self._fill(as_count(exponent_bits, "exponent_bits"),
-                   as_count(fraction_bits, "fraction_bits"), sign_bits)
+                   as_count(fraction_bits, "fraction_bits"))
 
     @property
     def significand_bits(self) -> int:
@@ -298,9 +295,6 @@ class ModelSpec(Value):
         """Optimizer steps in one run: steps_per_epoch * epochs."""
         return self.steps_per_epoch * self.epochs
 
-    def with_float_format(self, fmt: FloatFormat) -> "ModelSpec":
-        return self._replace(float_format=fmt)
-
 
 def check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
     """Reject keys outside ``allowed`` and report any of ``required`` missing."""
@@ -427,24 +421,6 @@ def parse_model(text: str) -> ModelSpec:
 
 def parse_model_file(path) -> ModelSpec:
     return read_document(path, lambda fh: parse_model(fh.read()))
-
-
-def _layer_to_doc(layer: LayerSpec) -> dict:
-    return {"kind": _KIND_OF[layer.__class__], **dict(zip(layer._fields, layer._key(layer)))}
-
-
-def serialize_model(model: ModelSpec) -> str:
-    """Inverse of :func:`parse_model`: reparsing the output yields an equal spec."""
-    fmt_key = next(k for k, v in FLOAT_FORMATS.items() if v == model.float_format)
-    doc = {
-        "name": model.name,
-        "float_format": fmt_key,
-        "loss": model.loss.value,
-        "training": {"dataset_len": model.dataset_len, "batch_size": model.batch_size,
-                     "epochs": model.epochs},
-        "layers": [_layer_to_doc(layer) for layer in model.layers],
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def model_family(base: ModelSpec, widths: Sequence[int],

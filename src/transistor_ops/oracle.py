@@ -184,16 +184,6 @@ def _forward_pass(model: ModelSpec, inputs: Sequence[float], weights, tally: _Ta
     return traces
 
 
-def run_forward(model: ModelSpec, inputs: Sequence[float],
-                weights=None) -> tuple[list[float], BasicOpCounts]:
-    """Execute the forward pass, returning outputs and the op tally."""
-    if weights is None:
-        weights = default_weights(model)
-    tally = _Tally()
-    traces = _forward_pass(model, inputs, weights, tally)
-    return [y.value for y in traces[-1].outputs], tally.snapshot()
-
-
 class TrainingStepTally(NamedTuple):
     """Per-segment tallies for one forward/loss/backprop/update step.
 

@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -49,3 +51,11 @@ def model_doc(dims, activation="sigmoid", out_activation="sigmoid",
 def write_model_doc(path, doc):
     path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
     return str(path)
+
+
+def quadratic_through(xs, ys, x):
+    """The quadratic through the three points ``(xs[i], ys[i])``, at ``x``:
+    Lagrange's form over fractions, so the only rounding is the final one."""
+    xs, ys, x = list(map(Fraction, xs)), list(map(Fraction, ys)), Fraction(x)
+    return float(sum(yi * prod((x - xj) / (xi - xj) for xj in xs if xj != xi)
+                     for xi, yi in zip(xs, ys)))

@@ -13,7 +13,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 from transistor_ops import (
@@ -43,7 +42,7 @@ from transistor_ops import (
 )
 from transistor_ops.oracle import default_inputs, default_weights
 
-from conftest import fc_model, model_doc, write_model_doc
+from conftest import fc_model, model_doc, quadratic_through, write_model_doc
 
 INTERCEPT_J = 2393.0
 SLOPE_J_PER_TO = 9.605e-6
@@ -158,13 +157,13 @@ def test_05_regression_recovery():
         workloads = [step_tos(m) for m in family]
         true_energy = [INTERCEPT_J + SLOPE_J_PER_TO * x for x in workloads]
         sigma = 0.01 * (sum(true_energy) / len(true_energy))
-        rng = np.random.default_rng(1234)
+        rng = random.Random(1234)
         hits = 0
         for _ in range(100):
             points = []
             for x, e in zip(workloads, true_energy):
-                runs = e + sigma * rng.standard_normal(60)
-                points.append((x, trimmed_mean(runs.tolist(), 5)))
+                runs = [e + sigma * rng.gauss(0.0, 1.0) for _ in range(60)]
+                points.append((x, trimmed_mean(runs, 5)))
             model = fit(points)
             ok_a = abs(model.intercept - INTERCEPT_J) <= 0.05 * INTERCEPT_J
             ok_b = abs(model.slope - SLOPE_J_PER_TO) <= 0.01 * SLOPE_J_PER_TO
@@ -201,12 +200,12 @@ def test_07_end_to_end_synthetic_rig():
     activations, must score strictly worse on the non-sigmoid ones."""
     with criterion(7, "synthetic-rig precision and baseline comparison", 10.0):
         base = base_dnn()
-        rng = np.random.default_rng(20260810)
+        rng = random.Random(20260810)
 
         def measure(model):
             energy = INTERCEPT_J + SLOPE_J_PER_TO * step_tos(model)
-            runs = energy * (1.0 + 0.005 * rng.standard_normal(60))
-            return trimmed_mean(runs.tolist(), 5)
+            runs = [energy * (1.0 + 0.005 * rng.gauss(0.0, 1.0)) for _ in range(60)]
+            return trimmed_mean(runs, 5)
 
         fit_models = model_family(base, range(4, 14), [Activation.SIGMOID])
         test_models = model_family(
@@ -259,8 +258,7 @@ def test_08_activation_scaling_properties():
         widths = [4.0, 5.0, 6.0, 11.0]
         values = [analyze(m, AnalysisLevel.INFERENCE).per_instance.total
                   for m in probe]
-        coeffs = np.polyfit(widths[:3], values[:3], 2)
-        held_out = float(np.polyval(coeffs, widths[3]))
+        held_out = quadratic_through(widths[:3], values[:3], widths[3])
         assert held_out == pytest.approx(values[3], rel=1e-9)
 
 

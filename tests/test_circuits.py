@@ -1,7 +1,6 @@
 import random
 from operator import mul
 
-import numpy as np
 import pytest
 
 from transistor_ops import (
@@ -31,7 +30,7 @@ from transistor_ops import (
     scaled_unit_tos,
 )
 
-from conftest import fc_model
+from conftest import fc_model, quadratic_through
 
 
 class TestAdder:
@@ -177,7 +176,7 @@ class TestAnalyze:
 
     def test_fp64_dominates_fp32(self, width4_dnn):
         fp32_total = analyze(width4_dnn, AnalysisLevel.TRAINING).per_run.total
-        fp64_total = analyze(width4_dnn.with_float_format(FP64),
+        fp64_total = analyze(width4_dnn._replace(float_format=FP64),
                              AnalysisLevel.TRAINING).per_run.total
         assert fp64_total > fp32_total
 
@@ -194,8 +193,7 @@ class TestAnalyze:
         widths = [4.0, 5.0, 6.0, 9.0]
         totals = [analyze(m, AnalysisLevel.INFERENCE).per_instance.total
                   for m in family]
-        coeffs = np.polyfit(widths[:3], totals[:3], 2)
-        held_out = float(np.polyval(coeffs, widths[3]))
+        held_out = quadratic_through(widths[:3], totals[:3], widths[3])
         assert held_out == pytest.approx(totals[3], rel=1e-9)
 
     def test_nonlinear_share_is_positive_fraction(self, width4_dnn):

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from transistor_ops import (
-    Activation,
     AnalysisLevel,
     FP64,
     LinearModel,
@@ -221,17 +220,11 @@ class TestEstimate:
         row = rows_of(out)[1]
         assert float(row[1]) == float(row[2])
 
-    def test_verification_family_gives_fifteen_rows(self, capsys, tmp_path,
-                                                    width4_dnn, eq_fitted):
-        from transistor_ops import model_family, serialize_model
-        paths = []
-        family = model_family(width4_dnn, range(14, 19),
-                              [Activation.SIGMOID, Activation.TANH,
-                               Activation.GELU])
-        for member in family:
-            path = tmp_path / f"{member.name}.json"
-            path.write_text(serialize_model(member))
-            paths.append(str(path))
+    def test_verification_family_gives_fifteen_rows(self, capsys, tmp_path, eq_fitted):
+        paths = [write_model_doc(tmp_path / f"w4-w{width}-{act}.json",
+                                 model_doc([4, width, width, width, 1], act,
+                                           name=f"w4-w{width}-{act}"))
+                 for width in range(14, 19) for act in ("sigmoid", "tanh", "gelu")]
         code, out = run_cli(capsys, "estimate", *paths, "--fitted", eq_fitted,
                             "--level", "training", "--scale", "step")
         assert code == 0
@@ -586,6 +579,15 @@ BAD_INPUTS = {
         {"fitted.json": FITTED, "dup_tos.csv": "model_id,tos\na,100\na,200\n"},
         ["estimate", "--tos-file", "{dup_tos.csv}", "--fitted", "{fitted.json}"],
         "dup_tos.csv", "duplicate model_id 'a'"),
+    "estimate-model-file-twice": (
+        {"fitted.json": FITTED}, ["estimate", "{model.json}", "{model.json}", "--fitted",
+                                  "{fitted.json}"],
+        "model.json", "model 'm': duplicate model_id, the file is given twice"),
+    "estimate-tos-file-id-is-a-model-name": (
+        {"fitted.json": FITTED, "named_tos.csv": "model_id,tos\nm,100\n"},
+        ["estimate", "{model.json}", "--tos-file", "{named_tos.csv}", "--fitted",
+         "{fitted.json}"],
+        "model.json", "model 'm': duplicate model_id, first from "),
     "duplicate-tradeoff-candidate": (
         {"dup_cands.csv": "model_id,energy_j,loss\na,100,0.1\nb,200,0.2\na,50,0.3\n"},
         ["tradeoff", "{dup_cands.csv}", "--alpha", "0.5"], "dup_cands.csv",

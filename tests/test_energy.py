@@ -2,8 +2,8 @@ import json
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from transistor_ops import (
@@ -121,8 +121,9 @@ class TestIntegration:
             got = integrate_power(zip(times, watts))
             assert got == want
             assert got == pytest.approx(want, rel=1e-12)
-            assert got == pytest.approx(
-                float(np.trapezoid(watts, times)), rel=1e-12)
+            exact = sum((Fraction(t1) - Fraction(t0)) * (Fraction(p0) + Fraction(p1))
+                        for t0, t1, p0, p1 in zip(times, times[1:], watts, watts[1:])) / 2
+            assert got == pytest.approx(float(exact), rel=1e-12)
 
 
 class TestTrimmedMean:
@@ -198,19 +199,19 @@ class TestFit:
             fit(points)
 
     def test_residuals_orthogonal_to_workload(self):
-        rng = np.random.default_rng(4)
-        x = rng.uniform(1e6, 5e7, size=40)
-        y = 100.0 + 3e-5 * x + rng.normal(0, 5.0, size=40)
+        rng = random.Random(4)
+        x = [rng.uniform(1e6, 5e7) for _ in range(40)]
+        y = [100.0 + 3e-5 * xi + rng.gauss(0.0, 5.0) for xi in x]
         model = fit(list(zip(x, y)))
-        resid = y - (model.intercept + model.slope * x)
+        weighted = [(yi - (model.intercept + model.slope * xi)) * xi for xi, yi in zip(x, y)]
         # normal equations: sum(resid * x) ~ 0 relative to sum(|resid * x|)
-        assert abs(float(np.sum(resid * x))) <= 1e-6 * float(np.sum(np.abs(resid * x)))
+        assert abs(math.fsum(weighted)) <= 1e-6 * math.fsum(map(abs, weighted))
         assert 0.0 <= model.r_squared <= 1.0
 
     def test_r_squared_reflects_noise(self):
-        rng = np.random.default_rng(8)
-        x = np.linspace(1.0, 100.0, 50)
-        y = 2.0 + 0.5 * x + rng.normal(0, 0.1, size=50)
+        rng = random.Random(8)
+        x = [1.0 + 99.0 * i / 49 for i in range(50)]
+        y = [2.0 + 0.5 * xi + rng.gauss(0.0, 0.1) for xi in x]
         assert fit(list(zip(x, y))).r_squared > 0.99
 
 
@@ -459,17 +460,17 @@ class TestRecoveryProperty:
         """Plant a line over a spread-out workload grid, measure each
         point 60 times with 1% noise, aggregate with the trimmed mean,
         and the fit must land near the plant."""
-        rng = np.random.default_rng(12)
-        x = np.linspace(2e8, 1.3e9, 10)
+        rng = random.Random(12)
+        x = [2e8 + 1.1e9 * i / 9 for i in range(10)]
         a, b = 2393.0, 9.605e-6
-        true = a + b * x
-        sigma = 0.01 * float(true.mean())
+        true = [a + b * xi for xi in x]
+        sigma = 0.01 * math.fsum(true) / len(true)
         hits = 0
         for _ in range(100):
             points = []
             for xi, ei in zip(x, true):
-                runs = ei + sigma * rng.standard_normal(60)
-                points.append((float(xi), trimmed_mean(runs.tolist(), 5)))
+                runs = [ei + sigma * rng.gauss(0.0, 1.0) for _ in range(60)]
+                points.append((xi, trimmed_mean(runs, 5)))
             model = fit(points)
             if (abs(model.intercept - a) <= 0.05 * a
                     and abs(model.slope - b) <= 0.01 * b):

@@ -9,7 +9,9 @@ case that prints its result runs once more with ``--out``, which must
 write the same bytes to the file and leave stdout empty.
 
 The cases cover every subcommand, fully-connected and conv+FC models,
-all three levels and scales, and both ``--raw`` and 6-digit output.
+all three levels and scales, and both ``--raw`` and 6-digit output. A
+table named by ``TOS_COST_TABLE`` must print the bytes of the case that
+names it with ``--cost-table``.
 """
 
 from pathlib import Path
@@ -120,3 +122,46 @@ def test_out_file_matches_golden(name, capsys, tmp_path):
     assert (tmp_path / "out").read_bytes() == (EXPECTED / f"{name}.txt").read_bytes()
     if "{svg}" in CASES[name]:
         assert (tmp_path / "svg").read_bytes() == (EXPECTED / f"{name}.svg").read_bytes()
+
+
+# TOS_COST_TABLE names the cost table when --cost-table does not.
+TABLE_ARGV = ["tos", "fc16.json", "--level", "training", "--raw"]
+TABLE_EXPECTED = EXPECTED / "tos-fc16-training-table-raw.txt"
+
+
+def run_printed(argv, capsys, tmp_path):
+    code = main(resolve(argv, tmp_path))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_cost_table_variable_names_the_table(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("TOS_COST_TABLE", str(GOLDEN / "table.json"))
+    code, out, _ = run_printed(TABLE_ARGV, capsys, tmp_path)
+    assert code == 0
+    assert out.encode("utf-8") == TABLE_EXPECTED.read_bytes()
+
+
+def test_cost_table_flag_wins_over_the_variable(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("TOS_COST_TABLE", str(tmp_path / "no_such_table.json"))
+    code, out, _ = run_printed(TABLE_ARGV + ["--cost-table", "table.json"], capsys, tmp_path)
+    assert code == 0
+    assert out.encode("utf-8") == TABLE_EXPECTED.read_bytes()
+
+
+def test_empty_cost_table_variable_means_the_built_in_table(monkeypatch, capsys, tmp_path):
+    monkeypatch.delenv("TOS_COST_TABLE", raising=False)
+    built_in = run_printed(TABLE_ARGV, capsys, tmp_path)
+    monkeypatch.setenv("TOS_COST_TABLE", "")
+    assert run_printed(TABLE_ARGV, capsys, tmp_path) == built_in
+    assert built_in[0] == 0
+    assert built_in[1].encode("utf-8") != TABLE_EXPECTED.read_bytes()
+
+
+def test_missing_cost_table_variable_path_exits_2_naming_it(monkeypatch, capsys, tmp_path):
+    missing = str(tmp_path / "no_such_table.json")
+    monkeypatch.setenv("TOS_COST_TABLE", missing)
+    code, out, err = run_printed(TABLE_ARGV, capsys, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert missing in err, err

@@ -5,7 +5,6 @@ import math
 import random
 
 import pytest
-import numpy as np
 
 from transistor_ops import (
     Activation,
@@ -17,56 +16,64 @@ from transistor_ops import (
     ModelSpec,
     UnsupportedError,
     count_model,
-    run_forward,
     run_training_step,
 )
 from transistor_ops.oracle import default_inputs, default_weights
 
 from conftest import fc_model
 
+ACTIVATIONS = {
+    Activation.NONE: lambda z: z,
+    Activation.SIGMOID: lambda z: 1.0 / (1.0 + math.exp(-z)),
+    Activation.GELU: lambda z: z / (1.0 + math.exp(-1.702 * z)),
+    Activation.TANH: math.tanh,
+}
 
-def _numpy_forward(model, inputs, weights):
-    x = np.asarray(inputs, dtype=float)
+
+def _math_forward(model, inputs, weights):
+    x = inputs
     for layer, (w, b) in zip(model.layers, weights):
-        z = np.asarray(w, dtype=float).T @ x + np.asarray(b, dtype=float)
-        if layer.activation is Activation.SIGMOID:
-            x = 1.0 / (1.0 + np.exp(-z))
-        elif layer.activation is Activation.GELU:
-            x = z / (1.0 + np.exp(-1.702 * z))
-        elif layer.activation is Activation.TANH:
-            x = np.tanh(z)
-        else:
-            x = z
+        act = ACTIVATIONS[layer.activation]
+        x = [act(math.fsum(w[i][j] * x[i] for i in range(layer.inputs)) + b[j])
+             for j in range(layer.outputs)]
     return x
+
+
+def _mse(outputs, targets):
+    return math.fsum((y - t) ** 2 for y, t in zip(outputs, targets)) / len(targets)
+
+
+def _forward_tally(model, inputs):
+    targets = [0.5] * model.layers[-1].outputs
+    return run_training_step(model, inputs, targets).forward
 
 
 class TestForwardTallies:
     def test_single_sigmoid_layer(self):
         m = fc_model([4, 5], Activation.SIGMOID, dataset_len=1, batch_size=1, epochs=1)
-        _, counts = run_forward(m, default_inputs(m))
-        assert counts.as_tuple() == (25, 5, 20, 5, 5)
+        assert _forward_tally(m, default_inputs(m)).as_tuple() == (25, 5, 20, 5, 5)
 
     def test_bare_linear_layer(self):
         m = fc_model([1, 1], Activation.NONE, out_activation=Activation.NONE,
                      dataset_len=1, batch_size=1, epochs=1)
-        _, counts = run_forward(m, [0.4])
-        assert counts.as_tuple() == (1, 0, 1, 0, 0)
+        assert _forward_tally(m, [0.4]).as_tuple() == (1, 0, 1, 0, 0)
 
     def test_width4_stack(self, width4_dnn):
-        _, counts = run_forward(width4_dnn, default_inputs(width4_dnn))
+        counts = _forward_tally(width4_dnn, default_inputs(width4_dnn))
         assert counts.as_tuple() == (65, 13, 52, 13, 13)
 
 
 class TestNumericExecution:
     @pytest.mark.parametrize("act", list(Activation))
-    def test_outputs_match_a_vectorized_forward(self, act):
+    def test_loss_matches_a_math_forward_pass(self, act):
         m = fc_model([3, 4, 2], act, out_activation=act,
                      dataset_len=1, batch_size=1, epochs=1)
         weights = default_weights(m, seed=5)
         inputs = default_inputs(m, seed=5)
-        got, _ = run_forward(m, inputs, weights)
-        want = _numpy_forward(m, inputs, weights)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        targets = [0.25, 0.75]
+        tally = run_training_step(m, inputs, targets, weights=weights)
+        want = _mse(_math_forward(m, inputs, weights), targets)
+        assert tally.loss_value == pytest.approx(want, rel=1e-12)
 
     def test_loss_value_is_the_mean_squared_error(self):
         m = fc_model([2, 3], Activation.SIGMOID, dataset_len=1, batch_size=1, epochs=1)
@@ -74,8 +81,7 @@ class TestNumericExecution:
         inputs = default_inputs(m)
         targets = [0.2, 0.4, 0.6]
         tally = run_training_step(m, inputs, targets, weights=weights)
-        outputs = _numpy_forward(m, inputs, weights)
-        want = float(np.mean((outputs - np.asarray(targets)) ** 2))
+        want = _mse(_math_forward(m, inputs, weights), targets)
         assert tally.loss_value == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("act", list(Activation))
@@ -87,16 +93,7 @@ class TestNumericExecution:
                      dataset_len=1, batch_size=1, epochs=1)
 
         def loss_at(w):
-            z = w * x0 + b0
-            if act is Activation.SIGMOID:
-                y = 1 / (1 + math.exp(-z))
-            elif act is Activation.GELU:
-                y = z / (1 + math.exp(-1.702 * z))
-            elif act is Activation.TANH:
-                y = math.tanh(z)
-            else:
-                y = z
-            return (y - t0) ** 2
+            return (ACTIVATIONS[act](w * x0 + b0) - t0) ** 2
 
         tally = run_training_step(m, [x0], [t0], weights=[([[w0]], [b0])],
                                   learning_rate=lr)
@@ -184,7 +181,7 @@ class TestAgreementWithCensus:
 class TestErrors:
     def test_wrong_input_arity(self, width4_dnn):
         with pytest.raises(ValueError, match="expected 4 inputs"):
-            run_forward(width4_dnn, [0.1, 0.2])
+            run_training_step(width4_dnn, [0.1, 0.2], [0.5])
 
     def test_wrong_target_arity(self, width4_dnn):
         with pytest.raises(ValueError, match="targets"):
@@ -194,4 +191,4 @@ class TestErrors:
         from transistor_ops import Convolutional
         m = ModelSpec("c", FP32, (Convolutional(2, 3, 1, 2),), Loss.MSE, 1, 1, 1)
         with pytest.raises(UnsupportedError):
-            run_forward(m, [0.5])
+            run_training_step(m, [0.5], [0.5] * 8)

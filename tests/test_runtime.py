@@ -1,5 +1,6 @@
 """The package, its CLI and its demos run on the standard library alone."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import transistor_ops
 from conftest import model_doc, write_model_doc
 
 SRC = str(Path(transistor_ops.__file__).resolve().parents[1])
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # Each demo's stdout, byte for byte, as an earlier version printed it.
 DEMO_EXPECTED = Path(__file__).parent / "demo_expected"
 
@@ -34,6 +36,27 @@ def test_cli_imports_and_runs_without_numpy(tmp_path):
                       path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("scope,layer,phase,")
+
+
+# The trees whose Python files must not import numpy. bench/ still draws
+# its inputs with numpy, so it is left out until the benchmark drops it.
+NUMPY_FREE = ("src", "tests", "demos")
+
+
+def imported_packages(path):
+    """The top-level package of each absolute import in the file at ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_no_file_imports_numpy():
+    importers = [str(path.relative_to(ROOT)) for tree in NUMPY_FREE
+                 for path in sorted((ROOT / tree).rglob("*.py"))
+                 if "numpy" in imported_packages(path)]
+    assert importers == []
 
 
 def test_cli_import_leaves_datetime_unloaded():

@@ -48,8 +48,8 @@ NUMBER = (math.nan, math.inf, True)
 # of its rules with the error that rule raises, and for each field the
 # values that break its own rule.
 VALUES = {
-    FloatFormat: (lambda: FloatFormat(8, 23), {"sign_bits": 2}, ValidationError,
-                  {"exponent_bits": COUNT, "fraction_bits": COUNT, "sign_bits": COUNT}),
+    FloatFormat: (lambda: FloatFormat(8, 23), {"fraction_bits": 0}, ValidationError,
+                  {"exponent_bits": COUNT, "fraction_bits": COUNT}),
     FullyConnected: (lambda: FullyConnected(4, 3, Activation.TANH), {"inputs": 0},
                      ValidationError,
                      {"inputs": COUNT, "outputs": COUNT, "activation": ("relu", None)}),
