@@ -33,9 +33,11 @@ print(" 8-bit adder:", adder_tos(8, table))
 
 # Multiplier/divider budgets scale from 64-bit reference circuits by a
 # power law in operand width (exponent 2 by default).
-print("64-bit multiplier:", scaled_unit_tos(64, table.mult_ref, table.scaling_exponent))
-print("24-bit multiplier:", scaled_unit_tos(24, table.mult_ref, table.scaling_exponent))
-print("24-bit divider:   ", scaled_unit_tos(24, table.div_ref, table.scaling_exponent))
+mult_ref = (table.mult_ref_bits, table.mult_ref_transistors)
+div_ref = (table.div_ref_bits, table.div_ref_transistors)
+print("64-bit multiplier:", scaled_unit_tos(64, *mult_ref, table.scaling_exponent))
+print("24-bit multiplier:", scaled_unit_tos(24, *mult_ref, table.scaling_exponent))
+print("24-bit divider:   ", scaled_unit_tos(24, *div_ref, table.scaling_exponent))
 
 # Full floating-point operations: mul/div add a sign XOR and an
 # exponent-wide adder on top of the significand unit.

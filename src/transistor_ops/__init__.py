@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "basic_ops": ("BasicOpCounts", "LayerBoProfile", "ModelBoReport", "UnsupportedError",
                   "count_model"),
-    "circuits": ("CostTable", "DEFAULT_COST_TABLE", "PhaseTos", "ScaledUnitRef", "ToProfile",
-                 "adder_tos", "analyze", "fp_cost_vector", "load_cost_table",
-                 "parse_cost_table", "scaled_unit_tos"),
+    "circuits": ("CostTable", "DEFAULT_COST_TABLE", "PhaseTos", "ToProfile", "adder_tos",
+                 "analyze", "fp_cost_vector", "load_cost_table", "parse_cost_table",
+                 "scaled_unit_tos"),
     "energy": ("ColumnAdapter", "DegenerateFitError", "EnergySample", "ErrorReport",
                "LinearModel", "TraceError", "error_metrics", "fit", "integrate_power",
                "read_power_trace", "trace_samples", "tradeoff_select", "trimmed_mean"),

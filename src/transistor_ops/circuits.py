@@ -22,85 +22,68 @@ The cost table is immutable after load and every function here is pure.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from math import isfinite
 from typing import NamedTuple
 
 from .basic_ops import census, scale_to_run
 from .model import (
+    FLOAT_FORMATS,
     AnalysisLevel,
-    FieldError,
     FloatFormat,
     ModelSpec,
+    ValidationError,
     Value,
     as_count,
     as_positive,
     check_keys,
+    left_sum,
     parse_json_object,
     placed,
     read_document,
 )
 
 
-class ScaledUnitRef(Value):
-    """Reference circuit: transistor count at a known operand width."""
-
-    __slots__ = ("bits", "transistors")
-
-    def __init__(self, bits: int, transistors: float) -> None:
-        self._fill(as_count(bits, "bits"), as_positive(transistors, "transistors"))
-
-
 class CostTable(Value):
-    """Transistor costs for circuit primitives plus scaling parameters."""
+    """Transistor costs for circuit primitives plus scaling parameters; the
+    fields are the cost-table document's keys."""
 
-    __slots__ = ("fa_transistors", "ha_transistors", "xor_transistors",
-                 "mult_ref", "div_ref", "scaling_exponent", "newton_iterations")
+    __slots__ = ("fa", "ha", "xor", "mult_ref_bits", "mult_ref_transistors",
+                 "div_ref_bits", "div_ref_transistors", "scaling_exponent",
+                 "newton_iterations")
 
-    def __init__(self, fa_transistors: float = 10.0, ha_transistors: float = 5.0,
-                 xor_transistors: float = 6.0,
-                 mult_ref: ScaledUnitRef = ScaledUnitRef(64, 90_000.0),
-                 div_ref: ScaledUnitRef = ScaledUnitRef(64, 110_000.0),
+    def __init__(self, fa: float = 10.0, ha: float = 5.0, xor: float = 6.0,
+                 mult_ref_bits: int = 64, mult_ref_transistors: float = 90_000.0,
+                 div_ref_bits: int = 64, div_ref_transistors: float = 110_000.0,
                  scaling_exponent: float = 2.0, newton_iterations: int = 3) -> None:
-        for name, ref in (("mult_ref", mult_ref), ("div_ref", div_ref)):
-            if not isinstance(ref, ScaledUnitRef):
-                raise FieldError(f"{name}: expected a ScaledUnitRef, got {ref!r}")
-        self._fill(as_positive(fa_transistors, "fa_transistors"),
-                   as_positive(ha_transistors, "ha_transistors"),
-                   as_positive(xor_transistors, "xor_transistors"), mult_ref, div_ref,
+        self._fill(as_positive(fa, "fa"), as_positive(ha, "ha"), as_positive(xor, "xor"),
+                   as_count(mult_ref_bits, "mult_ref_bits"),
+                   as_positive(mult_ref_transistors, "mult_ref_transistors"),
+                   as_count(div_ref_bits, "div_ref_bits"),
+                   as_positive(div_ref_transistors, "div_ref_transistors"),
                    as_positive(scaling_exponent, "scaling_exponent"),
                    as_count(newton_iterations, "newton_iterations"))
 
 
 DEFAULT_COST_TABLE = CostTable()
 
-_TABLE_KEYS = {
-    "fa", "ha", "xor",
-    "mult_ref_bits", "mult_ref_transistors",
-    "div_ref_bits", "div_ref_transistors",
-    "scaling_exponent", "newton_iterations",
-}
-
 
 def parse_cost_table(text: str) -> CostTable:
     """Parse a cost-table document; every key is optional, unknown keys
     are rejected, and each value must be a finite number (an integer for
-    the bit widths and the iteration count)."""
+    the bit widths and the iteration count). The costs of one operation
+    must stay finite in every float format, since ``--format`` can pair
+    the table with any of them."""
     doc = parse_json_object(text, "cost table")
-    check_keys(doc, _TABLE_KEYS, set(), "cost table")
-    base = DEFAULT_COST_TABLE
-
-    def ref(prefix: str, default: ScaledUnitRef) -> ScaledUnitRef:
-        return placed(lambda field: f"cost table: {prefix}_{field}", ScaledUnitRef,
-                      doc.get(f"{prefix}_bits", default.bits),
-                      doc.get(f"{prefix}_transistors", default.transistors))
-
-    # A key is its field's name without "_transistors": "fa" sets fa_transistors.
-    return placed(lambda field: f"cost table: {field.removesuffix('_transistors')}",
-                  CostTable, doc.get("fa", base.fa_transistors),
-                  doc.get("ha", base.ha_transistors), doc.get("xor", base.xor_transistors),
-                  ref("mult_ref", base.mult_ref), ref("div_ref", base.div_ref),
-                  doc.get("scaling_exponent", base.scaling_exponent),
-                  doc.get("newton_iterations", base.newton_iterations))
+    check_keys(doc, set(CostTable.__slots__), set(), "cost table")
+    table = placed(lambda field: f"cost table: {field}", CostTable, **doc)
+    for name, fmt in FLOAT_FORMATS.items():
+        try:
+            finite = all(map(isfinite, fp_cost_vector(fmt, table)))
+        except OverflowError:  # the power law of a reference circuit
+            finite = False
+        if not finite:
+            raise ValidationError(f"cost table: the operation costs overflow a float at {name}")
+    return table
 
 
 def load_cost_table(path) -> CostTable:
@@ -111,15 +94,17 @@ def adder_tos(bits: int, table: CostTable = DEFAULT_COST_TABLE) -> float:
     """An n-bit adder: (n-1) full adders plus one half adder."""
     if bits < 1:
         raise ValueError(f"adder width must be >= 1, got {bits}")
-    return (bits - 1) * table.fa_transistors + table.ha_transistors
+    return (bits - 1) * table.fa + table.ha
 
 
-def scaled_unit_tos(bits: int, ref: ScaledUnitRef, exponent: float) -> float:
-    """Power-law width scaling around a reference circuit; exact at the
-    reference width for any exponent."""
+def scaled_unit_tos(bits: int, ref_bits: int, ref_transistors: float,
+                    exponent: float) -> float:
+    """Power-law width scaling around a reference circuit of
+    ``ref_transistors`` at ``ref_bits``; exact at the reference width for
+    any exponent."""
     if bits < 1:
         raise ValueError(f"unit width must be >= 1, got {bits}")
-    return ref.transistors * (bits / ref.bits) ** exponent
+    return ref_transistors * (bits / ref_bits) ** exponent
 
 
 @lru_cache(maxsize=64)
@@ -132,14 +117,18 @@ def fp_cost_vector(fmt: FloatFormat,
     its dot product with this vector, which is what :func:`analyze` does."""
     frac, exponent_add = fmt.significand_bits, adder_tos(fmt.exponent_bits, table)
     add = adder_tos(frac, table)
-    times, divide = (table.xor_transistors + scaled_unit_tos(frac, ref, table.scaling_exponent)
-                     + exponent_add for ref in (table.mult_ref, table.div_ref))
+    times, divide = (table.xor + scaled_unit_tos(frac, *ref, table.scaling_exponent)
+                     + exponent_add
+                     for ref in ((table.mult_ref_bits, table.mult_ref_transistors),
+                                 (table.div_ref_bits, table.div_ref_transistors)))
     return add, add, times, divide, table.newton_iterations * (divide + times + add)
 
 
 def _dot(counts: tuple[int, ...], costs: tuple[float, ...]) -> float:
-    """The n*c products summed left to right from 0, in census order."""
-    return float(sum(map(mul, counts, costs)))
+    """The n*c products summed left to right, in census order."""
+    a, s, m, d, r = counts
+    ca, cs, cm, cd, cr = costs
+    return a * ca + s * cs + m * cm + d * cd + r * cr
 
 
 class PhaseTos(NamedTuple):
@@ -191,7 +180,7 @@ def analyze(model: ModelSpec, level: AnalysisLevel,
     update_per_batch = _dot(update_counts, costs)
     loss = _dot(loss_counts, costs)
 
-    per_instance = PhaseTos(sum(layer_forward), sum(layer_backprop), loss)
+    per_instance = PhaseTos(left_sum(layer_forward), left_sum(layer_backprop), loss)
     per_run = PhaseTos(per_instance.forward * instances, per_instance.backprop * instances,
                        per_instance.loss * instances, update_per_batch * steps)
     step = 1.0 / steps

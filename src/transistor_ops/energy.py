@@ -37,6 +37,7 @@ from .model import (
     as_name,
     as_number,
     check_keys,
+    left_sum,
     parse_json_object,
     placed,
     read_document,
@@ -260,7 +261,7 @@ def trimmed_mean(samples: Sequence[float], k: int = 5) -> float:
         raise ValueError(f"need more than {2 * k} samples to trim "
                          f"{k} from each end, got {n}")
     kept = sorted(float(s) for s in samples)[k:n - k]
-    mean = sum(kept) / len(kept)
+    mean = left_sum(kept) / len(kept)
     if not math.isfinite(mean):
         raise ValueError("the trimmed mean overflows a float")
     return mean
@@ -387,7 +388,7 @@ def error_metrics(predicted: Sequence[float], actual: Sequence[float]) -> ErrorR
         if not (math.isfinite(e) and math.isfinite(p)):
             raise ValueError(f"the error or the precision overflows a float; "
                              f"violated at index {i}")
-    avg_error = sum(abs(e) for e in errors) / len(errors)
+    avg_error = left_sum(abs(e) for e in errors) / len(errors)
     if not math.isfinite(avg_error):
         raise ValueError("the mean absolute error overflows a float")
     max_error = errors[0]

@@ -20,8 +20,9 @@ import json
 import sys
 from contextlib import contextmanager
 from enum import Enum
-from operator import attrgetter
-from typing import IO, Any, Callable, Iterator, Sequence, TypeVar
+from functools import reduce
+from operator import add, attrgetter
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 E = TypeVar("E", bound=Enum)
@@ -87,6 +88,13 @@ def as_name(value: Any, name: str) -> str:
     if not (isinstance(value, str) and value):
         raise FieldError(f"{name}: expected a non-empty string, got {value!r}")
     return value
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0. The built-in ``sum`` of
+    floats is compensated from Python 3.12 on, so its last digit differs
+    between the interpreters the package supports."""
+    return reduce(add, values, 0.0)
 
 
 class Value:

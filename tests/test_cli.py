@@ -569,6 +569,14 @@ BAD_INPUTS = {
         {"no_cands.csv": "model_id,energy_j,loss\n"},
         ["tradeoff", "{no_cands.csv}", "--alpha", "0.5"], "no_cands.csv",
         "candidate list is empty"),
+    "cost-table-overflows-a-float": (
+        {"huge_table.json": '{"fa": 1e307}'},
+        ["tos", "{model.json}", "--cost-table", "{huge_table.json}"], "huge_table.json",
+        "cost table: the operation costs overflow a float at fp16"),
+    "cost-table-power-law-overflows-a-float": (
+        {"steep_table.json": '{"scaling_exponent": 1e6, "mult_ref_bits": 1}'},
+        ["sweep", "{model.json}", "--widths", "3..4", "--cost-table", "{steep_table.json}"],
+        "steep_table.json", "cost table: the operation costs overflow a float at fp16"),
     "deep-cost-table": ({"deep_table.json": '{"fa": %s}' % DEEP},
                         ["tos", "{model.json}", "--cost-table", "{deep_table.json}"],
                         "deep_table.json", "cost table: nested too deeply"),
@@ -598,8 +606,9 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
-def test_bad_input_exits_2_naming_file_and_place(name, capsys, tmp_path):
+def run_bad_input(name, capsys, tmp_path):
+    """Run ``BAD_INPUTS[name]``; check that it exits 2, prints nothing and
+    names its file once and the place; return what it wrote to stderr."""
     files, argv, bad_file, place = BAD_INPUTS[name]
     write_model_doc(tmp_path / "model.json", model_doc([4, 4, 1]))
     for file_name, text in files.items():
@@ -610,6 +619,18 @@ def test_bad_input_exits_2_naming_file_and_place(name, capsys, tmp_path):
     assert captured.out == ""
     assert "set_int_max_str_digits" not in captured.err, captured.err
     assert captured.err.count(bad_file) == 1 and place in captured.err, captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_naming_file_and_place(name, capsys, tmp_path):
+    run_bad_input(name, capsys, tmp_path)
+
+
+@pytest.mark.parametrize("name", ["cost-table-overflows-a-float",
+                                  "cost-table-power-law-overflows-a-float"])
+def test_an_overflowing_cost_table_is_not_blamed_on_the_model(name, capsys, tmp_path):
+    assert "model.json" not in run_bad_input(name, capsys, tmp_path)
 
 
 def test_negative_trim_k_exits_2_before_any_trace_is_read(capsys, tmp_path):

@@ -1,7 +1,10 @@
-"""The package, its CLI and its demos run on the standard library alone."""
+"""The package, its CLI and its demos run on the standard library alone,
+and print the same bytes on every CPython the package supports."""
 
 import ast
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 import transistor_ops
 
 from conftest import model_doc, write_model_doc
+from test_golden import CASES, EXPECTED, resolve
 
 SRC = str(Path(transistor_ops.__file__).resolve().parents[1])
 ROOT = Path(__file__).resolve().parents[1]
@@ -140,3 +144,66 @@ def test_dir_lists_every_public_name():
     assert set(transistor_ops.__all__) <= set(names)
     assert transistor_ops.__all__ == sorted(transistor_ops.__all__)
     assert all(hasattr(transistor_ops, name) for name in transistor_ops.__all__)
+
+
+def other_interpreters():
+    """Each ``python3.10`` ... ``python3.14`` on PATH that starts, reports
+    the version its name says, and is not the running interpreter."""
+    found = []
+    for minor in range(10, 15):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None or sys.version_info[:2] == (3, minor):
+            continue
+        try:
+            proc = subprocess.run([exe, "-c", "import sys; print(sys.version_info[1])"],
+                                  capture_output=True, text=True, timeout=60)
+        except OSError:
+            continue
+        if proc.returncode == 0 and proc.stdout.strip() == str(minor):
+            found.append(exe)
+    return found
+
+
+# Reads [name, argv, out path or null, svg path or null] per case on stdin
+# and writes, per case, its exit code, stdout and the two files' text.
+GOLDEN_CHILD = """
+import contextlib, io, json, sys
+from transistor_ops.cli import main
+def text(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+results = {}
+for name, argv, out, svg in json.load(sys.stdin):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    results[name] = [code, stdout.getvalue(), out and text(out), svg and text(svg)]
+json.dump(results, sys.stdout)
+"""
+
+
+def test_other_interpreters_print_the_golden_bytes(tmp_path):
+    pythons = other_interpreters()
+    if not pythons:
+        pytest.skip("no python3.10 ... python3.14 other than this one starts from PATH")
+    cases = []
+    for name, argv in sorted(CASES.items()):
+        (tmp_path / name).mkdir()
+        written = [str(tmp_path / name / f) if "{%s}" % f in argv else None
+                   for f in ("out", "svg")]
+        cases.append([name, resolve(argv, tmp_path / name), *written])
+    mismatched = {}
+    for exe in pythons:
+        proc = subprocess.run([exe, "-c", GOLDEN_CHILD], input=json.dumps(cases),
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, f"{exe}: {proc.stderr}"
+        for name, (code, stdout, out, svg) in sorted(json.loads(proc.stdout).items()):
+            printed = stdout if out is None else out
+            svg_expected = EXPECTED / f"{name}.svg"
+            if (code != 0 or (out is not None and stdout)
+                    or printed.encode("utf-8") != (EXPECTED / f"{name}.txt").read_bytes()
+                    or (svg is not None
+                        and svg.encode("utf-8") != svg_expected.read_bytes())):
+                mismatched.setdefault(exe, []).append(name)
+    assert mismatched == {}, f"other bytes printed: {mismatched}"

@@ -1,6 +1,6 @@
 """Semantics of the package's value classes and plain records.
 
-The ten validated classes share one base (``transistor_ops.model.Value``):
+The nine validated classes share one base (``transistor_ops.model.Value``):
 equality and hashing by fields within one class, no assignment, a
 ``_replace`` that validates the copy again, and a check of every field
 that names the field. The plain records are ``NamedTuple``s, so they are
@@ -29,7 +29,6 @@ from transistor_ops import (
     LinearModel,
     Loss,
     ModelSpec,
-    ScaledUnitRef,
     ValidationError,
     analyze,
     count_model,
@@ -65,12 +64,10 @@ VALUES = {
                  "dataset_len": COUNT, "batch_size": COUNT, "epochs": COUNT}),
     BasicOpCounts: (lambda: BasicOpCounts(1, 2, 3, 4, 5), {"n_div": -1}, ValueError,
                     dict.fromkeys(BasicOpCounts.__slots__, (True, 2.5, -1))),
-    ScaledUnitRef: (lambda: ScaledUnitRef(64, 90_000.0), {"bits": 0}, ValueError,
-                    {"bits": COUNT, "transistors": NUMBER + (0.0,)}),
-    CostTable: (lambda: CostTable(fa_transistors=12.0), {"newton_iterations": 0},
-                ValueError,
-                {"fa_transistors": NUMBER + (-1.0,), "ha_transistors": NUMBER,
-                 "xor_transistors": NUMBER, "mult_ref": (64,), "div_ref": (None,),
+    CostTable: (lambda: CostTable(fa=12.0), {"newton_iterations": 0}, ValueError,
+                {"fa": NUMBER + (-1.0,), "ha": NUMBER, "xor": NUMBER,
+                 "mult_ref_bits": COUNT, "mult_ref_transistors": NUMBER + (0.0,),
+                 "div_ref_bits": COUNT, "div_ref_transistors": NUMBER,
                  "scaling_exponent": NUMBER, "newton_iterations": COUNT}),
     EnergySample: (lambda: EnergySample("m", "r", 1.5), {"joules": math.nan}, ValueError,
                    {"model_id": ("", 1), "run_id": (None,), "joules": NUMBER + (-1.0,)}),
@@ -200,7 +197,7 @@ def test_enum_fields_take_the_member_or_its_value():
 
 
 def test_number_fields_are_floats():
-    assert CostTable(fa_transistors=12).fa_transistors.__class__ is float
+    assert CostTable(fa=12).fa.__class__ is float
     assert LinearModel(1, 2, 1, 3) == LinearModel(1.0, 2.0, 1.0, 3)
 
 
