@@ -410,44 +410,40 @@ def cmd_oracle(args) -> str:
     return write_table(rows)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tos-analyzer",
-        description="Transistor-operation workload and energy scaling analysis.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common(p, cost_table=False, fmt=False, raw=False, scale=False):
+    p.add_argument("--level", choices=[l.value for l in AnalysisLevel],
+                   default=AnalysisLevel.INFERENCE.value,
+                   help="run steps to count (default: inference)")
+    p.add_argument("--out", help="write the output table to this file")
+    if fmt:
+        p.add_argument("--format", choices=sorted(FLOAT_FORMATS),
+                       help="override the model file's float format")
+    if cost_table:
+        p.add_argument("--cost-table",
+                       help=f"cost-table file (default: ${COST_TABLE_ENV} "
+                            f"or built-in defaults)")
+    if raw:
+        p.add_argument("--raw", action="store_true",
+                       help="print full-precision values")
+    if scale:
+        p.add_argument("--scale", choices=["instance", "step", "run"],
+                       default="instance",
+                       help="workload scale for emitted values")
 
-    def add_common(p, cost_table=False, fmt=False, raw=False, scale=False):
-        p.add_argument("--level", choices=[l.value for l in AnalysisLevel],
-                       default=AnalysisLevel.INFERENCE.value,
-                       help="run steps to count (default: inference)")
-        p.add_argument("--out", help="write the output table to this file")
-        if fmt:
-            p.add_argument("--format", choices=sorted(FLOAT_FORMATS),
-                           help="override the model file's float format")
-        if cost_table:
-            p.add_argument("--cost-table",
-                           help=f"cost-table file (default: ${COST_TABLE_ENV} "
-                                f"or built-in defaults)")
-        if raw:
-            p.add_argument("--raw", action="store_true",
-                           help="print full-precision values")
-        if scale:
-            p.add_argument("--scale", choices=["instance", "step", "run"],
-                           default="instance",
-                           help="workload scale for emitted values")
 
-    p = sub.add_parser("count", help="per-layer basic-operation census")
+def _count_args(p):
     p.add_argument("model")
-    add_common(p)
+    _add_common(p)
     p.set_defaults(handler=cmd_count)
 
-    p = sub.add_parser("tos", help="transistor-operation workload report")
+
+def _tos_args(p):
     p.add_argument("model")
-    add_common(p, cost_table=True, fmt=True, raw=True)
+    _add_common(p, cost_table=True, fmt=True, raw=True)
     p.set_defaults(handler=cmd_tos)
 
-    p = sub.add_parser("ingest", help="integrate power traces into energy samples")
+
+def _ingest_args(p):
     p.add_argument("traces", nargs="+")
     p.add_argument("--adapter", help="column-mapping config for vendor trace layouts")
     p.add_argument("--trim-k", type=int, default=5,
@@ -455,29 +451,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the sample table to this file")
     p.set_defaults(handler=cmd_ingest)
 
-    p = sub.add_parser("fit", help="fit the workload-to-energy line")
+
+def _fit_args(p):
     p.add_argument("pairs", help="CSV with header tos,joules")
     p.add_argument("--out", help="write the fitted model file here")
     p.set_defaults(handler=cmd_fit)
 
-    p = sub.add_parser("estimate", help="predict energies from a fitted model")
+
+def _estimate_args(p):
     p.add_argument("models", nargs="*")
     p.add_argument("--fitted", required=True, help="fitted model file")
     p.add_argument("--tos-file", help="CSV of precomputed workloads (model_id,tos)")
-    add_common(p, cost_table=True, fmt=True, raw=True, scale=True)
+    _add_common(p, cost_table=True, fmt=True, raw=True, scale=True)
     p.set_defaults(handler=cmd_estimate)
 
-    p = sub.add_parser("sweep", help="width x activation family sweep")
+
+def _sweep_args(p):
     p.add_argument("base")
     p.add_argument("--widths", required=True, help="width range, e.g. 4..13")
     p.add_argument("--activations", default="sigmoid,tanh,gelu",
                    help="comma-separated activation names")
     p.add_argument("--fitted-model", help="optional fitted model for energy estimates")
     p.add_argument("--svg", help="also render a polyline chart to this file")
-    add_common(p, cost_table=True, fmt=True, raw=True, scale=True)
+    _add_common(p, cost_table=True, fmt=True, raw=True, scale=True)
     p.set_defaults(handler=cmd_sweep)
 
-    p = sub.add_parser("compare", help="score two prediction sets against measurements")
+
+def _compare_args(p):
     p.add_argument("predictions_tos")
     p.add_argument("predictions_flops")
     p.add_argument("actual")
@@ -485,25 +485,69 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true", help="print full-precision values")
     p.set_defaults(handler=cmd_compare)
 
-    p = sub.add_parser("tradeoff", help="select a model by energy/loss trade-off")
+
+def _tradeoff_args(p):
     p.add_argument("candidates", help="CSV with header model_id,energy_j,loss")
     p.add_argument("--alpha", type=float, required=True,
                    help="energy weight in [0, 1]")
     p.set_defaults(handler=cmd_tradeoff, out=None)  # no --out: it prints one id
 
-    # Debugging aid: run the instrumented scalar executor on a model file.
-    p = sub.add_parser("oracle")
+
+def _oracle_args(p):
     p.add_argument("model")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_oracle)
 
+
+# name -> (help, the function adding its arguments and handler), in the
+# order `--help` lists them. `oracle`, a debugging aid that runs the
+# instrumented scalar executor, has no help and so is not listed.
+COMMANDS = {
+    "count": ("per-layer basic-operation census", _count_args),
+    "tos": ("transistor-operation workload report", _tos_args),
+    "ingest": ("integrate power traces into energy samples", _ingest_args),
+    "fit": ("fit the workload-to-energy line", _fit_args),
+    "estimate": ("predict energies from a fitted model", _estimate_args),
+    "sweep": ("width x activation family sweep", _sweep_args),
+    "compare": ("score two prediction sets against measurements", _compare_args),
+    "tradeoff": ("select a model by energy/loss trade-off", _tradeoff_args),
+    "oracle": (None, _oracle_args),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with only the subparser of the command
+    that ``argv[0]`` names, or with all of them when it names none (no
+    argv, ``--help``, an option or an unknown command)."""
+    parser = argparse.ArgumentParser(
+        prog="tos-analyzer",
+        description="Transistor-operation workload and energy scaling analysis.",
+    )
+    if argv and argv[0] in COMMANDS:
+        names = [argv[0]]
+        # The usage line of an unrecognized-argument error names every
+        # command. Only here: a metavar would also rename the positional
+        # in the full parser's invalid-choice and missing-command errors.
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
+    else:
+        names = list(COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_arguments = COMMANDS[name]
+        # `help=None` would still list the command; leaving it out does not.
+        add_arguments(sub.add_parser(name) if help_text is None
+                      else sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser(argv).parse_args(argv)
+    except SystemExit as e:  # --help, or a usage error argparse has printed
+        return e.code
     try:
         text = args.handler(args)
         if args.out:

@@ -15,6 +15,7 @@ import transistor_ops
 
 from conftest import model_doc, write_model_doc
 from test_golden import CASES, EXPECTED, resolve
+from test_usage import CORPUS
 
 SRC = str(Path(transistor_ops.__file__).resolve().parents[1])
 ROOT = Path(__file__).resolve().parents[1]
@@ -164,41 +165,68 @@ def other_interpreters():
     return found
 
 
-# Reads [name, argv, out path or null, svg path or null] per case on stdin
-# and writes, per case, its exit code, stdout and the two files' text.
-GOLDEN_CHILD = """
+# Reads [golden cases, parser corpus] on stdin. Each golden case is
+# [name, argv, out path or null, svg path or null]; the child writes, per
+# case, its exit code, stdout and the two files' text. It also parses each
+# corpus argv with the parser built for it and with the full parser, and
+# lists the argv on which the two differ in namespace (by its repr, as
+# NaN is unequal to itself), exit code or output.
+CHILD = """
 import contextlib, io, json, sys
-from transistor_ops.cli import main
+from transistor_ops.cli import _build_parser, main
 def text(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
+def parsed(argv, parser):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            value = repr(parser.parse_args(argv))
+        except SystemExit as e:
+            value = e.code
+    return value, out.getvalue(), err.getvalue()
+cases, corpus = json.load(sys.stdin)
 results = {}
-for name, argv, out, svg in json.load(sys.stdin):
+for name, argv, out, svg in cases:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(argv)
     results[name] = [code, stdout.getvalue(), out and text(out), svg and text(svg)]
-json.dump(results, sys.stdout)
+unlike = [argv for argv in corpus
+          if parsed(argv, _build_parser(argv)) != parsed(argv, _build_parser([]))]
+json.dump([results, unlike], sys.stdout)
 """
 
 
-def test_other_interpreters_print_the_golden_bytes(tmp_path):
+@pytest.fixture(scope="module")
+def other_runs(tmp_path_factory):
+    """exe -> [golden results, corpus argv parsed differently] of each
+    other interpreter's child."""
     pythons = other_interpreters()
     if not pythons:
         pytest.skip("no python3.10 ... python3.14 other than this one starts from PATH")
+    tmp_path = tmp_path_factory.mktemp("golden")
     cases = []
     for name, argv in sorted(CASES.items()):
         (tmp_path / name).mkdir()
         written = [str(tmp_path / name / f) if "{%s}" % f in argv else None
                    for f in ("out", "svg")]
         cases.append([name, resolve(argv, tmp_path / name), *written])
-    mismatched = {}
+    runs = {}
     for exe in pythons:
-        proc = subprocess.run([exe, "-c", GOLDEN_CHILD], input=json.dumps(cases),
-                              env=dict(os.environ, PYTHONPATH=SRC),
+        proc = subprocess.run([exe, "-c", CHILD],
+                              input=json.dumps([cases, list(CORPUS.values())]),
+                              env=dict(os.environ, PYTHONPATH=SRC, COLUMNS="80"),
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, f"{exe}: {proc.stderr}"
-        for name, (code, stdout, out, svg) in sorted(json.loads(proc.stdout).items()):
+        runs[exe] = json.loads(proc.stdout)
+    return runs
+
+
+def test_other_interpreters_print_the_golden_bytes(other_runs):
+    mismatched = {}
+    for exe, (results, _) in other_runs.items():
+        for name, (code, stdout, out, svg) in sorted(results.items()):
             printed = stdout if out is None else out
             svg_expected = EXPECTED / f"{name}.svg"
             if (code != 0 or (out is not None and stdout)
@@ -207,3 +235,8 @@ def test_other_interpreters_print_the_golden_bytes(tmp_path):
                         and svg.encode("utf-8") != svg_expected.read_bytes())):
                 mismatched.setdefault(exe, []).append(name)
     assert mismatched == {}, f"other bytes printed: {mismatched}"
+
+
+def test_other_interpreters_parse_alike_with_one_command_or_all(other_runs):
+    unlike = {exe: argvs for exe, (_, argvs) in other_runs.items() if argvs}
+    assert unlike == {}, f"the one-command parser differs from the full one: {unlike}"
