@@ -410,109 +410,56 @@ def cmd_oracle(args) -> str:
     return write_table(rows)
 
 
-def _add_common(p, cost_table=False, fmt=False, raw=False, scale=False):
-    p.add_argument("--level", choices=[l.value for l in AnalysisLevel],
-                   default=AnalysisLevel.INFERENCE.value,
-                   help="run steps to count (default: inference)")
-    p.add_argument("--out", help="write the output table to this file")
-    if fmt:
-        p.add_argument("--format", choices=sorted(FLOAT_FORMATS),
-                       help="override the model file's float format")
-    if cost_table:
-        p.add_argument("--cost-table",
-                       help=f"cost-table file (default: ${COST_TABLE_ENV} "
-                            f"or built-in defaults)")
-    if raw:
-        p.add_argument("--raw", action="store_true",
-                       help="print full-precision values")
-    if scale:
-        p.add_argument("--scale", choices=["instance", "step", "run"],
-                       default="instance",
-                       help="workload scale for emitted values")
+# The options several commands share, as (flag, add_argument keywords).
+LEVEL = ("--level", dict(choices=[l.value for l in AnalysisLevel],
+                         default=AnalysisLevel.INFERENCE.value,
+                         help="run steps to count (default: inference)"))
+OUT = ("--out", dict(help="write the output table to this file"))
+FORMAT = ("--format", dict(choices=sorted(FLOAT_FORMATS),
+                           help="override the model file's float format"))
+COST_TABLE = ("--cost-table", dict(help=f"cost-table file (default: ${COST_TABLE_ENV} "
+                                        f"or built-in defaults)"))
+RAW = ("--raw", dict(action="store_true", help="print full-precision values"))
+SCALE = ("--scale", dict(choices=["instance", "step", "run"], default="instance",
+                         help="workload scale for emitted values"))
 
-
-def _count_args(p):
-    p.add_argument("model")
-    _add_common(p)
-    p.set_defaults(handler=cmd_count)
-
-
-def _tos_args(p):
-    p.add_argument("model")
-    _add_common(p, cost_table=True, fmt=True, raw=True)
-    p.set_defaults(handler=cmd_tos)
-
-
-def _ingest_args(p):
-    p.add_argument("traces", nargs="+")
-    p.add_argument("--adapter", help="column-mapping config for vendor trace layouts")
-    p.add_argument("--trim-k", type=int, default=5,
-                   help="drop the k largest and smallest runs per model (default 5)")
-    p.add_argument("--out", help="write the sample table to this file")
-    p.set_defaults(handler=cmd_ingest)
-
-
-def _fit_args(p):
-    p.add_argument("pairs", help="CSV with header tos,joules")
-    p.add_argument("--out", help="write the fitted model file here")
-    p.set_defaults(handler=cmd_fit)
-
-
-def _estimate_args(p):
-    p.add_argument("models", nargs="*")
-    p.add_argument("--fitted", required=True, help="fitted model file")
-    p.add_argument("--tos-file", help="CSV of precomputed workloads (model_id,tos)")
-    _add_common(p, cost_table=True, fmt=True, raw=True, scale=True)
-    p.set_defaults(handler=cmd_estimate)
-
-
-def _sweep_args(p):
-    p.add_argument("base")
-    p.add_argument("--widths", required=True, help="width range, e.g. 4..13")
-    p.add_argument("--activations", default="sigmoid,tanh,gelu",
-                   help="comma-separated activation names")
-    p.add_argument("--fitted-model", help="optional fitted model for energy estimates")
-    p.add_argument("--svg", help="also render a polyline chart to this file")
-    _add_common(p, cost_table=True, fmt=True, raw=True, scale=True)
-    p.set_defaults(handler=cmd_sweep)
-
-
-def _compare_args(p):
-    p.add_argument("predictions_tos")
-    p.add_argument("predictions_flops")
-    p.add_argument("actual")
-    p.add_argument("--out", help="write the report to this file")
-    p.add_argument("--raw", action="store_true", help="print full-precision values")
-    p.set_defaults(handler=cmd_compare)
-
-
-def _tradeoff_args(p):
-    p.add_argument("candidates", help="CSV with header model_id,energy_j,loss")
-    p.add_argument("--alpha", type=float, required=True,
-                   help="energy weight in [0, 1]")
-    p.set_defaults(handler=cmd_tradeoff, out=None)  # no --out: it prints one id
-
-
-def _oracle_args(p):
-    p.add_argument("model")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_oracle)
-
-
-# name -> (help, the function adding its arguments and handler), in the
-# order `--help` lists them. `oracle`, a debugging aid that runs the
-# instrumented scalar executor, has no help and so is not listed.
+# name -> (help, handler, its arguments as (flag, add_argument keywords)),
+# in the order `--help` lists them. `oracle`, a debugging aid that runs
+# the instrumented scalar executor, has no help and so is not listed.
 COMMANDS = {
-    "count": ("per-layer basic-operation census", _count_args),
-    "tos": ("transistor-operation workload report", _tos_args),
-    "ingest": ("integrate power traces into energy samples", _ingest_args),
-    "fit": ("fit the workload-to-energy line", _fit_args),
-    "estimate": ("predict energies from a fitted model", _estimate_args),
-    "sweep": ("width x activation family sweep", _sweep_args),
-    "compare": ("score two prediction sets against measurements", _compare_args),
-    "tradeoff": ("select a model by energy/loss trade-off", _tradeoff_args),
-    "oracle": (None, _oracle_args),
+    "count": ("per-layer basic-operation census", cmd_count, [("model", {}), LEVEL, OUT]),
+    "tos": ("transistor-operation workload report", cmd_tos,
+            [("model", {}), LEVEL, OUT, FORMAT, COST_TABLE, RAW]),
+    "ingest": ("integrate power traces into energy samples", cmd_ingest, [
+        ("traces", dict(nargs="+")),
+        ("--adapter", dict(help="column-mapping config for vendor trace layouts")),
+        ("--trim-k", dict(type=int, default=5,
+                          help="drop the k largest and smallest runs per model (default 5)")),
+        ("--out", dict(help="write the sample table to this file"))]),
+    "fit": ("fit the workload-to-energy line", cmd_fit, [
+        ("pairs", dict(help="CSV with header tos,joules")),
+        ("--out", dict(help="write the fitted model file here"))]),
+    "estimate": ("predict energies from a fitted model", cmd_estimate, [
+        ("models", dict(nargs="*")),
+        ("--fitted", dict(required=True, help="fitted model file")),
+        ("--tos-file", dict(help="CSV of precomputed workloads (model_id,tos)")),
+        LEVEL, OUT, FORMAT, COST_TABLE, RAW, SCALE]),
+    "sweep": ("width x activation family sweep", cmd_sweep, [
+        ("base", {}),
+        ("--widths", dict(required=True, help="width range, e.g. 4..13")),
+        ("--activations", dict(default="sigmoid,tanh,gelu",
+                               help="comma-separated activation names")),
+        ("--fitted-model", dict(help="optional fitted model for energy estimates")),
+        ("--svg", dict(help="also render a polyline chart to this file")),
+        LEVEL, OUT, FORMAT, COST_TABLE, RAW, SCALE]),
+    "compare": ("score two prediction sets against measurements", cmd_compare, [
+        ("predictions_tos", {}), ("predictions_flops", {}), ("actual", {}),
+        ("--out", dict(help="write the report to this file")), RAW]),
+    "tradeoff": ("select a model by energy/loss trade-off", cmd_tradeoff, [
+        ("candidates", dict(help="CSV with header model_id,energy_j,loss")),
+        ("--alpha", dict(type=float, required=True, help="energy weight in [0, 1]"))]),
+    "oracle": (None, cmd_oracle,
+               [("model", {}), ("--seed", dict(type=int, default=None)), ("--out", {})]),
 }
 
 
@@ -535,10 +482,12 @@ def _build_parser(argv) -> argparse.ArgumentParser:
         names = list(COMMANDS)
         sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
-        help_text, add_arguments = COMMANDS[name]
+        help_text, handler, arguments = COMMANDS[name]
         # `help=None` would still list the command; leaving it out does not.
-        add_arguments(sub.add_parser(name) if help_text is None
-                      else sub.add_parser(name, help=help_text))
+        p = sub.add_parser(name) if help_text is None else sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler, out=None)  # `tradeoff` has no --out: it prints one id
     return parser
 
 

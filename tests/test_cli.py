@@ -134,11 +134,15 @@ class TestIngest:
     def test_polyline_fixture_matches_analytic_value(self, capsys, tmp_path):
         path = write_trace(tmp_path / "poly__r0.csv",
                            [(0.0, 1.0), (1.0, 3.0), (2.0, 1.0)])
-        code, out = run_cli(capsys, "ingest", path, "--trim-k", "0")
+        # A stem without `__` is run run0 of the model it names.
+        solo = write_trace(tmp_path / "solo.csv", [(0.0, 10.0), (1.0, 12.0)])
+        code, out = run_cli(capsys, "ingest", path, solo, "--trim-k", "0")
         assert code == 0
         rows = rows_of(out)
         sample = next(r for r in rows if r[1] == "r0")
         assert float(sample[2]) == 4.0
+        assert [r for r in rows if r[0] == "solo"] == [["solo", "run0", "11.0"],
+                                                      ["solo", "trimmed_mean", "11.0"]]
 
     def test_trim_k_too_large(self, capsys, tmp_path):
         path = write_trace(tmp_path / "m__r0.csv", [(0.0, 1.0), (1.0, 1.0)])
@@ -475,6 +479,23 @@ BAD_INPUTS = {
     "overflowing-trace-energy": (
         {"big__r0.csv": "elapsed_s,power_w\n0,1e308\n10,1e308\n"},
         ["ingest", "{big__r0.csv}", "--trim-k", "0"], "big__r0.csv", "energy overflows"),
+    "overflowing-trace-energy-sums": (  # each term is finite, their sum is not
+        {"sums__r0.csv": "elapsed_s,power_w\n0,8e307\n1,8e307\n2,8e307\n"},
+        ["ingest", "{sums__r0.csv}", "--trim-k", "0"], "sums__r0.csv",
+        "the energy overflows a float"),
+    "model-root-not-an-object": ({"root.json": "[]"}, ["count", "{root.json}"], "root.json",
+                                 "document root: expected an object"),
+    "cost-table-root-not-an-object": (
+        {"list_table.json": "[1]"},
+        ["tos", "{model.json}", "--cost-table", "{list_table.json}"], "list_table.json",
+        "cost table: expected an object"),
+    "adapter-root-not-an-object": (
+        {"list_adapter.json": "[]", "m__r0.csv": TRACE},
+        ["ingest", "{m__r0.csv}", "--adapter", "{list_adapter.json}", "--trim-k", "0"],
+        "list_adapter.json", "adapter config: expected an object"),
+    "fitted-model-root-not-an-object": (
+        {"list_fit.json": "[]"}, ["estimate", "{model.json}", "--fitted", "{list_fit.json}"],
+        "list_fit.json", "fitted model: expected an object"),
     "overflowing-trimmed-mean": (
         {f"huge__r{i}.csv": "elapsed_s,power_w\n0,0.8e308\n1,0.8e308\n" for i in range(3)},
         ["ingest", "{huge__r0.csv}", "{huge__r1.csv}", "{huge__r2.csv}", "--trim-k", "0"],

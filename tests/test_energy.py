@@ -69,6 +69,7 @@ class TestIntegration:
         ((0.0, 10.0), (1e308, 1e308)),
         ((0.0, 1.0, 2.0, 3.0), (0.9e308, 0.9e308, 0.9e308, 0.9e308)),
         ((-1e308, 1e308), (1.0, 1.0)),
+        ((0.0, 1.0, 2.0), (8e307, 8e307, 8e307)),  # finite terms, overflowing sums
     ])
     def test_overflowing_energy_rejected(self, times, watts):
         with pytest.raises(TraceError, match="overflows"):
@@ -139,6 +140,10 @@ class TestTrimmedMean:
     def test_requires_more_than_2k(self):
         with pytest.raises(ValueError):
             trimmed_mean([1.0] * 10, k=5)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            trimmed_mean([1.0, 2.0, 3.0], k=-1)
 
     @pytest.mark.parametrize("samples", [[0.8e308] * 3, [1.0, math.inf, 2.0]])
     def test_non_finite_mean_rejected(self, samples):

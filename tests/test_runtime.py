@@ -15,7 +15,7 @@ import transistor_ops
 
 from conftest import model_doc, write_model_doc
 from test_golden import CASES, EXPECTED, resolve
-from test_usage import CORPUS
+from test_usage import CORPUS, DEFAULTS
 
 SRC = str(Path(transistor_ops.__file__).resolve().parents[1])
 ROOT = Path(__file__).resolve().parents[1]
@@ -165,12 +165,13 @@ def other_interpreters():
     return found
 
 
-# Reads [golden cases, parser corpus] on stdin. Each golden case is
-# [name, argv, out path or null, svg path or null]; the child writes, per
-# case, its exit code, stdout and the two files' text. It also parses each
-# corpus argv with the parser built for it and with the full parser, and
-# lists the argv on which the two differ in namespace (by its repr, as
-# NaN is unequal to itself), exit code or output.
+# Reads [golden cases, parser corpus, minimal argv] on stdin. Each golden
+# case is [name, argv, out path or null, svg path or null]; the child
+# writes, per case, its exit code, stdout and the two files' text. It also
+# parses each corpus argv with the parser built for it and with the full
+# parser, and lists the argv on which the two differ in namespace (by its
+# repr, as NaN is unequal to itself), exit code or output. Last, it writes
+# the repr of the sorted namespace, handler left out, of each minimal argv.
 CHILD = """
 import contextlib, io, json, sys
 from transistor_ops.cli import _build_parser, main
@@ -185,7 +186,7 @@ def parsed(argv, parser):
         except SystemExit as e:
             value = e.code
     return value, out.getvalue(), err.getvalue()
-cases, corpus = json.load(sys.stdin)
+cases, corpus, minimal = json.load(sys.stdin)
 results = {}
 for name, argv, out, svg in cases:
     stdout = io.StringIO()
@@ -194,14 +195,18 @@ for name, argv, out, svg in cases:
     results[name] = [code, stdout.getvalue(), out and text(out), svg and text(svg)]
 unlike = [argv for argv in corpus
           if parsed(argv, _build_parser(argv)) != parsed(argv, _build_parser([]))]
-json.dump([results, unlike], sys.stdout)
+def defaults(argv):
+    namespace = vars(_build_parser(argv).parse_args(argv))
+    del namespace["handler"]
+    return repr(sorted(namespace.items()))
+json.dump([results, unlike, [defaults(argv) for argv in minimal]], sys.stdout)
 """
 
 
 @pytest.fixture(scope="module")
 def other_runs(tmp_path_factory):
-    """exe -> [golden results, corpus argv parsed differently] of each
-    other interpreter's child."""
+    """exe -> [golden results, corpus argv parsed differently, defaults]
+    of each other interpreter's child."""
     pythons = other_interpreters()
     if not pythons:
         pytest.skip("no python3.10 ... python3.14 other than this one starts from PATH")
@@ -215,7 +220,8 @@ def other_runs(tmp_path_factory):
     runs = {}
     for exe in pythons:
         proc = subprocess.run([exe, "-c", CHILD],
-                              input=json.dumps([cases, list(CORPUS.values())]),
+                              input=json.dumps([cases, list(CORPUS.values()),
+                                                [argv for argv, _ in DEFAULTS.values()]]),
                               env=dict(os.environ, PYTHONPATH=SRC, COLUMNS="80"),
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, f"{exe}: {proc.stderr}"
@@ -225,7 +231,7 @@ def other_runs(tmp_path_factory):
 
 def test_other_interpreters_print_the_golden_bytes(other_runs):
     mismatched = {}
-    for exe, (results, _) in other_runs.items():
+    for exe, (results, _, _) in other_runs.items():
         for name, (code, stdout, out, svg) in sorted(results.items()):
             printed = stdout if out is None else out
             svg_expected = EXPECTED / f"{name}.svg"
@@ -238,5 +244,13 @@ def test_other_interpreters_print_the_golden_bytes(other_runs):
 
 
 def test_other_interpreters_parse_alike_with_one_command_or_all(other_runs):
-    unlike = {exe: argvs for exe, (_, argvs) in other_runs.items() if argvs}
+    unlike = {exe: argvs for exe, (_, argvs, _) in other_runs.items() if argvs}
     assert unlike == {}, f"the one-command parser differs from the full one: {unlike}"
+
+
+def test_other_interpreters_parse_the_recorded_defaults(other_runs):
+    expected = [repr(sorted(namespace.items())) for _, namespace in DEFAULTS.values()]
+    unlike = {exe: [command for command, got, want in zip(DEFAULTS, defaults, expected)
+                    if got != want]
+              for exe, (_, _, defaults) in other_runs.items() if defaults != expected}
+    assert unlike == {}, f"other defaults parsed: {unlike}"

@@ -7,7 +7,9 @@ fixtures. Its exit codes, stdout and stderr are pinned byte for byte in
 argparse wraps the usage lines differently on other versions, so that
 test runs on 3.11 only. ``tests/test_runtime.py`` runs the corpus under
 each other ``python3.1x`` on PATH and requires the parser built for
-``argv[0]`` to behave as the full parser does there too.
+``argv[0]`` to behave as the full parser does there too. ``DEFAULTS``
+pins the namespace each command's minimal argv parses to, on every
+interpreter.
 """
 
 import argparse
@@ -67,6 +69,37 @@ CORPUS = {
     "double-dash-after-command": ["count", "--", "fc.json"],
 }
 
+# name -> (the command's minimal argv, its namespace without the handler).
+# The help text shows no default, type or action; these pin them.
+DEFAULTS = {
+    "count": (["count", "m.json"],
+              {"command": "count", "model": "m.json", "level": "inference", "out": None}),
+    "tos": (["tos", "m.json"],
+            {"command": "tos", "model": "m.json", "level": "inference", "out": None,
+             "format": None, "cost_table": None, "raw": False}),
+    "ingest": (["ingest", "t.csv"],
+               {"command": "ingest", "traces": ["t.csv"], "adapter": None, "trim_k": 5,
+                "out": None}),
+    "fit": (["fit", "pairs.csv"], {"command": "fit", "pairs": "pairs.csv", "out": None}),
+    "estimate": (["estimate", "--fitted", "f.json"],
+                 {"command": "estimate", "models": [], "fitted": "f.json", "tos_file": None,
+                  "level": "inference", "out": None, "format": None, "cost_table": None,
+                  "raw": False, "scale": "instance"}),
+    "sweep": (["sweep", "base.json", "--widths", "4..5"],
+              {"command": "sweep", "base": "base.json", "widths": "4..5",
+               "activations": "sigmoid,tanh,gelu", "fitted_model": None, "svg": None,
+               "level": "inference", "out": None, "format": None, "cost_table": None,
+               "raw": False, "scale": "instance"}),
+    "compare": (["compare", "tos.csv", "flops.csv", "actual.csv"],
+                {"command": "compare", "predictions_tos": "tos.csv",
+                 "predictions_flops": "flops.csv", "actual": "actual.csv", "out": None,
+                 "raw": False}),
+    "tradeoff": (["tradeoff", "c.csv", "--alpha", "0.5"],
+                 {"command": "tradeoff", "candidates": "c.csv", "alpha": 0.5, "out": None}),
+    "oracle": (["oracle", "m.json"],
+               {"command": "oracle", "model": "m.json", "seed": None, "out": None}),
+}
+
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 
 
@@ -100,6 +133,15 @@ def test_main_prints_the_recorded_bytes(name, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))[name]
     assert outcome(main, CORPUS[name]) == expected
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_minimal_argv_parses_to_the_recorded_defaults(command):
+    argv, expected = DEFAULTS[command]
+    namespace = vars(_build_parser(argv).parse_args(argv))
+    del namespace["handler"]
+    # By repr: 5 == 5.0 and False == 0, but their reprs differ.
+    assert repr(sorted(namespace.items())) == repr(sorted(expected.items()))
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
