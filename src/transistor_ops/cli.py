@@ -49,6 +49,7 @@ from .model import (
     Activation,
     AnalysisLevel,
     FLOAT_FORMATS,
+    FullyConnected,
     ModelSpec,
     located,
     model_family,
@@ -65,6 +66,9 @@ EXIT_UNSUPPORTED = 3
 
 # The most models (widths x activations) one sweep builds.
 MAX_FAMILY = 10_000
+
+# The most weights and biases one oracle run builds.
+MAX_ORACLE_PARAMETERS = 100_000
 
 # The run id of each model's aggregate row in the `ingest` table.
 AGGREGATE_RUN = "trimmed_mean"
@@ -396,6 +400,10 @@ def cmd_oracle(args) -> str:
     from .oracle import default_inputs, default_weights, run_training_step
     model = _load_model(args.model, None)
     with _in_model(args.model, model.name):
+        if sum((layer.inputs + 1) * layer.outputs for layer in model.layers
+               if isinstance(layer, FullyConnected)) > MAX_ORACLE_PARAMETERS:
+            raise ValueError(f"the oracle runs at most {MAX_ORACLE_PARAMETERS} weights "
+                             f"and biases; this model has more")
         weights = default_weights(model, args.seed)
         inputs = default_inputs(model, args.seed)
         targets = [0.5] * model.layers[-1].output_units
@@ -413,7 +421,7 @@ def cmd_oracle(args) -> str:
 # The options several commands share, as (flag, add_argument keywords).
 LEVEL = ("--level", dict(choices=[l.value for l in AnalysisLevel],
                          default=AnalysisLevel.INFERENCE.value,
-                         help="run steps to count (default: inference)"))
+                         help="run steps to count (default: %(default)s)"))
 OUT = ("--out", dict(help="write the output table to this file"))
 FORMAT = ("--format", dict(choices=sorted(FLOAT_FORMATS),
                            help="override the model file's float format"))
@@ -433,8 +441,8 @@ COMMANDS = {
     "ingest": ("integrate power traces into energy samples", cmd_ingest, [
         ("traces", dict(nargs="+")),
         ("--adapter", dict(help="column-mapping config for vendor trace layouts")),
-        ("--trim-k", dict(type=int, default=5,
-                          help="drop the k largest and smallest runs per model (default 5)")),
+        ("--trim-k", dict(type=int, default=5, help="drop the k largest and smallest "
+                                                    "runs per model (default %(default)s)")),
         ("--out", dict(help="write the sample table to this file"))]),
     "fit": ("fit the workload-to-energy line", cmd_fit, [
         ("pairs", dict(help="CSV with header tos,joules")),

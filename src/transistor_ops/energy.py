@@ -64,6 +64,9 @@ def _open_table(source: str | IO[str], names: Iterable[str], error=ParseError):
     missing = [name for name in names if name not in header]
     if missing:
         raise error(f"header must name column(s) {', '.join(missing)}")
+    repeated = [name for name in names if header.count(name) > 1]
+    if repeated:
+        raise error(f"header names column(s) {', '.join(repeated)} more than once")
     return reader, len(header), [header.index(name) for name in names]
 
 
@@ -72,8 +75,9 @@ def read_table(source: str | IO[str],
     """Stream the rows of a CSV table, converted column by column.
 
     ``source`` is the table's text or an open file. The header must name
-    every key of ``columns``; other columns are ignored. Each non-blank
-    row yields one tuple of converted cells in the order of ``columns``.
+    every key of ``columns`` once; other columns are ignored. Each non-blank
+    row has the header's width and yields one tuple of converted cells in
+    the order of ``columns``.
     A converter signals a bad cell by raising ``ValueError``; any bad row
     raises :class:`ParseError` that names its line as ``row N``.
     """
@@ -82,11 +86,11 @@ def read_table(source: str | IO[str],
     for row in reader:
         if not row:
             continue
+        if len(row) != width:
+            raise ParseError(f"row {reader.line_num}: has {len(row)} field(s), "
+                             f"the header has {width}")
         try:
             values = tuple([convert(row[i]) for i, convert in cells])
-        except IndexError:
-            raise ParseError(f"row {reader.line_num}: has {len(row)} field(s), "
-                             f"the header has {width}") from None
         except ValueError as e:
             raise ParseError(f"row {reader.line_num}: {e}") from None
         yield values
@@ -113,11 +117,10 @@ def _checked(rows: Iterable, place: Callable[[int], str], ti: int = 0, pi: int =
     for row in rows:
         if not row:
             continue
+        if len(row) != width:
+            raise TraceError(f"{place(n)}: has {len(row)} field(s), the header has {width}")
         try:
             t, p = seconds(row[ti]), float(row[pi])
-        except IndexError:
-            raise TraceError(f"{place(n)}: has {len(row)} field(s), "
-                             f"the header has {width}") from None
         except ValueError as e:
             raise TraceError(f"{place(n)}: {e}") from None
         if not (before < t < math.inf and 0.0 <= p < math.inf):

@@ -9,7 +9,7 @@ in the same five-category space.
 
 Tallies are value-independent: no operation is conditional on a value,
 so any weight or input draw produces identical counts. Weights and
-inputs default to fixed positive values, which also keeps every
+inputs default to seeded draws from (0.1, 0.9), which also keep every
 pre-activation non-zero (the GELU backward step divides by it).
 
 Each run owns its tally; runs are independent and freely parallel.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from operator import sub
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .basic_ops import BasicOpCounts, UnsupportedError
@@ -32,8 +32,11 @@ class _Tally:
     def __init__(self) -> None:
         self.add = self.sub = self.mul = self.div = self.root = 0
 
-    def snapshot(self) -> BasicOpCounts:
-        return BasicOpCounts(self.add, self.sub, self.mul, self.div, self.root)
+    def take(self) -> BasicOpCounts:
+        """The counts since the last take; counting restarts from zero."""
+        counts = BasicOpCounts(self.add, self.sub, self.mul, self.div, self.root)
+        self.__init__()
+        return counts
 
 
 class CountingScalar:
@@ -78,12 +81,8 @@ def _apply_activation(act: Activation, xi: CountingScalar, lift) -> CountingScal
     if act is Activation.SIGMOID:
         return _sigmoid(xi, lift)
     if act is Activation.GELU:
-        u = lift(1.702) * xi
-        return xi * _sigmoid(u, lift)
-    if act is Activation.TANH:
-        s = _sigmoid(lift(2.0) * xi, lift)
-        return lift(2.0) * s - lift(1.0)
-    raise UnsupportedError(f"unknown activation: {act!r}")
+        return xi * _sigmoid(lift(1.702) * xi, lift)
+    return lift(2.0) * _sigmoid(lift(2.0) * xi, lift) - lift(1.0)  # TANH
 
 
 def _activation_delta(act: Activation, g: CountingScalar, xi: CountingScalar,
@@ -98,7 +97,7 @@ def _activation_delta(act: Activation, g: CountingScalar, xi: CountingScalar,
         ap = y * (lift(1.0) - y)
     elif act is Activation.TANH:
         ap = lift(1.0) - y * y
-    elif act is Activation.GELU:
+    else:  # GELU
         # gelu'(x) = s + u s (1 - s) with u = 1.702 x and s = sigmoid(u).
         # s is recovered from the stored output (y = x s), 1 - s is built
         # as exp(-u) * s, and the final sum is folded into a subtraction
@@ -111,45 +110,31 @@ def _activation_delta(act: Activation, g: CountingScalar, xi: CountingScalar,
         sp = one_minus_s * s
         t = neg_u * sp
         ap = s - t
-    else:
-        raise UnsupportedError(f"unknown activation: {act!r}")
     return g * ap
 
 
-def default_weights(model: ModelSpec, seed: int | None = None):
-    """Per-layer (weights, biases) with strictly positive values.
+def _dense(layer) -> FullyConnected:
+    if not isinstance(layer, FullyConnected):
+        raise UnsupportedError("the scalar executor supports fully-connected layers only")
+    return layer
 
-    With ``seed`` set, values are drawn uniformly from (0.1, 0.9);
-    otherwise a fixed deterministic pattern is used. Positive weights
-    and inputs keep every pre-activation positive.
-    """
-    rng = random.Random(seed) if seed is not None else None
-    layers = []
-    for layer in model.layers:
-        if not isinstance(layer, FullyConnected):
-            raise UnsupportedError("the scalar executor supports "
-                                   "fully-connected layers only")
-        if rng is None:
-            w = [[0.15 + 0.07 * ((i + 2 * j) % 5) for j in range(layer.outputs)]
-                 for i in range(layer.inputs)]
-            b = [0.1 + 0.05 * (j % 3) for j in range(layer.outputs)]
-        else:
-            w = [[rng.uniform(0.1, 0.9) for _ in range(layer.outputs)]
-                 for i in range(layer.inputs)]
-            b = [rng.uniform(0.1, 0.9) for _ in range(layer.outputs)]
-        layers.append((w, b))
-    return layers
+
+def _draws(rng: random.Random, n: int) -> list[float]:
+    return [rng.uniform(0.1, 0.9) for _ in range(n)]
+
+
+def default_weights(model: ModelSpec, seed: int | None = None):
+    """Per-layer (weights, biases) drawn uniformly from (0.1, 0.9) by
+    ``random.Random(seed)``; no seed means seed 0. Positive weights and
+    inputs keep every pre-activation positive."""
+    rng = random.Random(seed or 0)
+    return [([_draws(rng, layer.outputs) for _ in range(layer.inputs)],
+             _draws(rng, layer.outputs)) for layer in map(_dense, model.layers)]
 
 
 def default_inputs(model: ModelSpec, seed: int | None = None) -> list[float]:
-    first = model.layers[0]
-    if not isinstance(first, FullyConnected):
-        raise UnsupportedError("the scalar executor supports "
-                               "fully-connected layers only")
-    if seed is None:
-        return [0.2 + 0.1 * (i % 4) for i in range(first.inputs)]
-    rng = random.Random(seed ^ 0x5EED)
-    return [rng.uniform(0.1, 0.9) for _ in range(first.inputs)]
+    """The first layer's inputs, drawn like :func:`default_weights`'s."""
+    return _draws(random.Random((seed or 0) ^ 0x5EED), _dense(model.layers[0]).inputs)
 
 
 class _LayerTrace(NamedTuple):
@@ -161,8 +146,16 @@ class _LayerTrace(NamedTuple):
     biases: list
 
 
-def _forward_pass(model: ModelSpec, inputs: Sequence[float], weights, tally: _Tally):
-    lift = lambda v: CountingScalar(v, tally)
+def _dot(ws: Sequence[CountingScalar], xs: Sequence[CountingScalar]) -> CountingScalar:
+    """w0*x0 + w1*x1 + ..., added left to right: n multiplies, n - 1 adds."""
+    products = map(mul, ws, xs)
+    acc = next(products)
+    for product in products:
+        acc = acc + product
+    return acc
+
+
+def _forward_pass(model: ModelSpec, inputs: Sequence[float], weights, lift):
     first = model.layers[0]
     if len(inputs) != first.inputs:
         raise ValueError(f"expected {first.inputs} inputs, got {len(inputs)}")
@@ -171,14 +164,8 @@ def _forward_pass(model: ModelSpec, inputs: Sequence[float], weights, tally: _Ta
     for layer, (w, b) in zip(model.layers, weights):
         w_s = [[lift(wij) for wij in row] for row in w]
         b_s = [lift(bj) for bj in b]
-        pre, out = [], []
-        for j in range(layer.outputs):
-            acc = w_s[0][j] * xs[0]
-            for i in range(1, layer.inputs):
-                acc = acc + w_s[i][j] * xs[i]
-            xi = b_s[j] + acc
-            pre.append(xi)
-            out.append(_apply_activation(layer.activation, xi, lift))
+        pre = [bj + _dot(column, xs) for column, bj in zip(zip(*w_s), b_s)]
+        out = [_apply_activation(layer.activation, xi, lift) for xi in pre]
         traces.append(_LayerTrace(layer, xs, pre, out, w_s, b_s))
         xs = out
     return traces
@@ -221,83 +208,47 @@ def run_training_step(model: ModelSpec, inputs: Sequence[float],
     tally = _Tally()
     lift = lambda v: CountingScalar(v, tally)
 
-    traces = _forward_pass(model, inputs, weights, tally)
-    forward_counts = tally.snapshot()
+    traces = _forward_pass(model, inputs, weights, lift)
+    forward = tally.take()
 
     # Loss: mean of squared differences over the output units.
-    out_layer = traces[-1]
-    n_out = len(out_layer.outputs)
-    if len(targets) != n_out:
-        raise ValueError(f"expected {n_out} targets, got {len(targets)}")
-    diffs = [y - lift(float(t)) for y, t in zip(out_layer.outputs, targets)]
-    total = diffs[0] * diffs[0]
-    for d in diffs[1:]:
-        total = total + d * d
-    loss_value = (total / lift(float(n_out))).value
-    loss_counts = _diff(tally.snapshot(), forward_counts)
+    outputs = traces[-1].outputs
+    if len(targets) != len(outputs):
+        raise ValueError(f"expected {len(outputs)} targets, got {len(targets)}")
+    diffs = [y - lift(float(t)) for y, t in zip(outputs, targets)]
+    loss_value = (_dot(diffs, diffs) / lift(float(len(outputs)))).value
+    loss = tally.take()
 
     # Backprop, output layer first. Gradients accumulate into lifted
     # zeros so every accumulation add is executed and counted.
-    grads = []
+    grads, bp_layers = [], []
     upstream = diffs
-    seen = tally.snapshot()
-    bp_layers = []
-    for index in reversed(range(len(traces))):
-        trace = traces[index]
-        layer = trace.layer
-        deltas = [
-            _activation_delta(layer.activation, upstream[j], trace.pre_act[j],
-                              trace.outputs[j], lift)
-            for j in range(layer.outputs)
-        ]
-        gw = [[lift(0.0) for _ in range(layer.outputs)] for _ in range(layer.inputs)]
-        gb = [lift(0.0) for _ in range(layer.outputs)]
-        for i in range(layer.inputs):
-            for j in range(layer.outputs):
-                gw[i][j] = gw[i][j] + deltas[j] * trace.inputs[i]
-        for j in range(layer.outputs):
-            gb[j] = gb[j] + deltas[j]
-        grads.append((gw, gb))
-        if index > 0:
-            nxt = []
-            for i in range(layer.inputs):
-                acc = trace.weights[i][0] * deltas[0]
-                for j in range(1, layer.outputs):
-                    acc = acc + trace.weights[i][j] * deltas[j]
-                nxt.append(acc)
-            upstream = nxt
-        now = tally.snapshot()
-        bp_layers.append(_diff(now, seen))
-        seen = now
+    for trace in reversed(traces):
+        deltas = [_activation_delta(trace.layer.activation, g, xi, y, lift)
+                  for g, xi, y in zip(upstream, trace.pre_act, trace.outputs)]
+        grads.append(([[lift(0.0) + d * x for d in deltas] for x in trace.inputs],
+                      [lift(0.0) + d for d in deltas]))
+        if trace is not traces[0]:
+            upstream = [_dot(row, deltas) for row in trace.weights]
+        bp_layers.append(tally.take())
     bp_layers.reverse()
     grads.reverse()
 
     lr = lift(float(learning_rate))
-    update_layers = []
-    updated = []
+    update_layers, updated = [], []
     for trace, (gw, gb) in zip(traces, grads):
-        for i in range(trace.layer.inputs):
-            for j in range(trace.layer.outputs):
-                trace.weights[i][j] = trace.weights[i][j] - lr * gw[i][j]
-        for j in range(trace.layer.outputs):
-            trace.biases[j] = trace.biases[j] - lr * gb[j]
-        now = tally.snapshot()
-        update_layers.append(_diff(now, seen))
-        seen = now
         updated.append((
-            [[w.value for w in row] for row in trace.weights],
-            [b.value for b in trace.biases],
+            [[(w - lr * g).value for w, g in zip(w_row, g_row)]
+             for w_row, g_row in zip(trace.weights, gw)],
+            [(b - lr * g).value for b, g in zip(trace.biases, gb)],
         ))
+        update_layers.append(tally.take())
 
     return TrainingStepTally(
-        forward=forward_counts,
-        loss=loss_counts,
+        forward=forward,
+        loss=loss,
         backprop_layers=tuple(bp_layers),
         update_layers=tuple(update_layers),
         loss_value=loss_value,
         updated_weights=tuple(updated),
     )
-
-
-def _diff(after: BasicOpCounts, before: BasicOpCounts) -> BasicOpCounts:
-    return BasicOpCounts(*map(sub, after.as_tuple(), before.as_tuple()))

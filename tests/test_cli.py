@@ -624,6 +624,31 @@ BAD_INPUTS = {
     "sweep-svg-unwritable": ({}, ["sweep", "{model.json}", "--widths", "3..4",
                                   "--svg", "{missing/x.svg}"], "x.svg",
                              "No such file or directory"),
+    "long-table-row": ({"long_pairs.csv": "tos,joules\n1,000,5\n2,7\n3,9\n"},
+                       ["fit", "{long_pairs.csv}"], "long_pairs.csv",
+                       "row 2: has 3 field(s), the header has 2"),
+    "long-trace-row": ({"long__r0.csv": "elapsed_s,power_w\n0,1,000\n1,2\n2,3\n"},
+                       ["ingest", "{long__r0.csv}", "--trim-k", "0"], "long__r0.csv",
+                       "row 2: has 3 field(s), the header has 2"),
+    "long-adapter-trace-row": (
+        {"cols.json": json.dumps({"time_column": "t", "power_column": "p"}),
+         "m__r0.csv": "p,t\n1,0\n2,1,0\n"},
+        ["ingest", "{m__r0.csv}", "--adapter", "{cols.json}", "--trim-k", "0"],
+        "m__r0.csv", "row 3: has 3 field(s), the header has 2"),
+    "table-column-named-twice": (
+        {"twice_pairs.csv": "tos,joules,joules\n1,2,3\n2,3,4\n3,5,6\n"},
+        ["fit", "{twice_pairs.csv}"], "twice_pairs.csv",
+        "header names column(s) joules more than once"),
+    "trace-column-named-twice": (
+        {"twice__r0.csv": "elapsed_s,power_w,power_w\n0,1,2\n1,2,3\n"},
+        ["ingest", "{twice__r0.csv}", "--trim-k", "0"], "twice__r0.csv",
+        "header names column(s) power_w more than once"),
+    "oracle-model-too-large": (
+        {"big.json": json.dumps(model_doc([316, 316]))}, ["oracle", "{big.json}"], "big.json",
+        "model 'm': the oracle runs at most 100000 weights and biases; this model has more"),
+    "oracle-model-past-a-float": (
+        {"huge.json": json.dumps(model_doc([10 ** 309, 4, 1]))}, ["oracle", "{huge.json}"],
+        "huge.json", "model 'm': the oracle runs at most 100000 weights"),
 }
 
 
@@ -679,6 +704,18 @@ def test_count_is_exact_past_the_float_range(capsys, tmp_path):
     steps = -(-dataset_len // batch_size) * epochs
     assert counts("per_run", "total") == [[i * dataset_len * epochs + u * steps
                                            for i, u in zip(per_instance, updates)]]
+
+
+@pytest.mark.parametrize("limit,code", [(65, 0), (64, 2)])
+def test_oracle_size_limit_counts_weights_and_biases(limit, code, capsys, monkeypatch,
+                                                      width4_doc):
+    # 4 -> 4 -> 4 -> 4 -> 1 has 3 x (4 + 1) x 4 + (4 + 1) x 1 = 65 weights
+    # and biases. Past the limit no weight is drawn.
+    from transistor_ops import oracle
+    if code:
+        monkeypatch.setattr(oracle, "default_weights", None)
+    monkeypatch.setattr(cli, "MAX_ORACLE_PARAMETERS", limit)
+    assert main(["oracle", width4_doc]) == code, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,message", [

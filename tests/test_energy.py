@@ -336,7 +336,8 @@ class TestReadTable:
     COLUMNS = {"model_id": str, "joules": finite_float}
 
     def test_extra_columns_ignored_and_order_follows_columns(self):
-        rows = read_table("joules,note,model_id\n1.5,x,a\n2,y,b\n", self.COLUMNS)
+        # An extra column may be named twice; only a column read may not.
+        rows = read_table("joules,note,model_id,note\n1.5,x,a,z\n2,y,b,w\n", self.COLUMNS)
         assert list(rows) == [("a", 1.5), ("b", 2.0)]
 
     def test_blank_lines_skipped_and_rows_keep_line_numbers(self):

@@ -1,6 +1,7 @@
 """The instrumented scalar executor both defines the op-census ground
 truth and must compute real numbers; both halves are checked here."""
 
+import hashlib
 import math
 import random
 
@@ -178,6 +179,63 @@ class TestAgreementWithCensus:
                 assert got == profile.update_per_batch
 
 
+def _digest(tally):
+    """sha256 (first 16 hex digits) of every segment's counts, the loss
+    and the updated weights, by repr: any change to a count or to the
+    last bit of a value changes it."""
+    return hashlib.sha256(repr(tuple(tally)).encode()).hexdigest()[:16]
+
+
+# name -> (dims, hidden activation, output activation, seed, targets,
+# learning rate, digest); weights and inputs are the seed's default draws.
+SEEDED = {
+    "sigmoid-3-4-2-seed-5": ([3, 4, 2], Activation.SIGMOID, Activation.SIGMOID, 5,
+                             [0.25, 0.75], 0.1, "134435fa82858ef6"),
+    "gelu-2-5-3-1-seed-11": ([2, 5, 3, 1], Activation.GELU, Activation.NONE, 11,
+                             [0.4], 0.05, "c2a7293b3e638527"),
+    "tanh-4-1-3-seed-0": ([4, 1, 3], Activation.TANH, Activation.GELU, 0,
+                          [0.1, 0.5, 0.9], 0.3, "55ff7b584d6f0a8c"),
+}
+
+# name -> (layers, weights, inputs, targets, learning rate, digest), with
+# weights of both signs.
+EXPLICIT = {
+    "tanh-gelu-3-2-2": (
+        (FullyConnected(3, 2, Activation.TANH), FullyConnected(2, 2, Activation.GELU)),
+        [([[0.3, -0.7], [-0.1, 0.9], [0.7, 0.3]], [0.1, -0.2]),
+         ([[0.9, -0.3], [-0.7, 0.6]], [0.3, 0.05])],
+        [0.7, -0.3, 0.1], [0.3, -0.2], 0.2, "b00d6cbe035add42"),
+    "identity-2-1": (
+        (FullyConnected(2, 1, Activation.NONE),),
+        [([[0.3], [-0.7]], [0.1])], [0.9, 0.3], [0.2], 0.1, "550fae08a4aedb0a"),
+    "sigmoid-none-1-3-2": (
+        (FullyConnected(1, 3, Activation.SIGMOID), FullyConnected(3, 2, Activation.NONE)),
+        [([[0.9, -0.6, 0.3]], [0.0, 0.4, -0.8]),
+         ([[-0.3, 0.2], [0.7, -0.9], [0.1, 0.6]], [-0.5, 0.5])],
+        [0.6], [0.7, -0.1], 0.3, "412e43fad54ab1f7"),
+}
+
+
+class TestExactValues:
+    """The oracle's counts and values, pinned bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(SEEDED))
+    def test_seeded_default_draws(self, name):
+        dims, act, out_act, seed, targets, lr, want = SEEDED[name]
+        m = fc_model(dims, act, out_activation=out_act, dataset_len=1, batch_size=1,
+                     epochs=1)
+        tally = run_training_step(m, default_inputs(m, seed), targets,
+                                  weights=default_weights(m, seed), learning_rate=lr)
+        assert _digest(tally) == want
+
+    @pytest.mark.parametrize("name", sorted(EXPLICIT))
+    def test_explicit_weights(self, name):
+        layers, weights, inputs, targets, lr, want = EXPLICIT[name]
+        m = ModelSpec(name, FP32, layers, Loss.MSE, 1, 1, 1)
+        tally = run_training_step(m, inputs, targets, weights=weights, learning_rate=lr)
+        assert _digest(tally) == want
+
+
 class TestErrors:
     def test_wrong_input_arity(self, width4_dnn):
         with pytest.raises(ValueError, match="expected 4 inputs"):
@@ -192,3 +250,9 @@ class TestErrors:
         m = ModelSpec("c", FP32, (Convolutional(2, 3, 1, 2),), Loss.MSE, 1, 1, 1)
         with pytest.raises(UnsupportedError):
             run_training_step(m, [0.5], [0.5] * 8)
+
+    def test_default_inputs_need_a_dense_first_layer(self):
+        from transistor_ops import Convolutional
+        m = ModelSpec("c", FP32, (Convolutional(2, 3, 1, 2),), Loss.MSE, 1, 1, 1)
+        with pytest.raises(UnsupportedError, match="fully-connected layers only"):
+            default_inputs(m)
