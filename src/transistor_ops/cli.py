@@ -143,26 +143,29 @@ def _read_by_id(path: str, column: str) -> dict[str, float]:
 
 
 def _counts_row(counts: BasicOpCounts) -> list[str]:
-    return [str(n) for n in counts.as_tuple()]
+    try:
+        return [str(n) for n in counts.as_tuple()]
+    except ValueError:  # an int past Python's limit on the digits it turns into text
+        raise ValueError(f"a count has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def cmd_count(args) -> str:
     model = _load_model(args.model, None)
     level = AnalysisLevel(args.level)
-    with _in_model(args.model, model.name):
-        report = count_model(model, level)
     phases = [("per_instance", "forward", "forward")]  # (scope, phase, LayerProfile field)
     if level.includes_backprop:
         phases += [("per_instance", "backprop", "backprop"),
                    ("per_batch", "update", "update_per_batch")]
     rows = [["scope", "layer", "phase", "n_add", "n_sub", "n_mul", "n_div", "n_root"]]
-    for scope, phase, field in phases:
-        for index, profile in enumerate(report.layers, start=1):
-            rows.append([scope, str(index), phase] + _counts_row(getattr(profile, field)))
-    if level.includes_loss:
-        rows.append(["per_instance", "all", "loss"] + _counts_row(report.loss))
-    rows.append(["per_instance", "all", "total"] + _counts_row(report.per_instance))
-    rows.append(["per_run", "all", "total"] + _counts_row(report.per_run))
+    with _in_model(args.model, model.name):
+        report = count_model(model, level)
+        for scope, phase, field in phases:
+            for index, profile in enumerate(report.layers, start=1):
+                rows.append([scope, str(index), phase] + _counts_row(getattr(profile, field)))
+        if level.includes_loss:
+            rows.append(["per_instance", "all", "loss"] + _counts_row(report.loss))
+        rows.append(["per_instance", "all", "total"] + _counts_row(report.per_instance))
+        rows.append(["per_run", "all", "total"] + _counts_row(report.per_run))
     return write_table(rows)
 
 
@@ -348,28 +351,23 @@ def cmd_sweep(args) -> str:
 
 
 def cmd_compare(args) -> str:
-    pred_tos = _read_by_id(args.predictions_tos, "predicted_j")
-    pred_flops = _read_by_id(args.predictions_flops, "predicted_j")
+    predictions = [(path, _read_by_id(path, "predicted_j"))
+                   for path in (args.predictions_tos, args.predictions_flops)]
     actual = _read_by_id(args.actual, "joules")
     ids = list(actual)
-    for path, predicted in ((args.predictions_tos, pred_tos),
-                            (args.predictions_flops, pred_flops)):
+    actual_values = list(actual.values())
+    scored = []
+    for path, predicted in predictions:
         missing = [i for i in ids if i not in predicted]
         extra = [i for i in predicted if i not in actual]
         with located(path):
             if missing or extra:
                 raise ValueError(f"model {missing[0]!r} of {args.actual} is missing" if missing
                                  else f"model {extra[0]!r} is not in {args.actual}")
-
-    actual_values = list(actual.values())
-    tos_values = [pred_tos[i] for i in ids]
-    flops_values = [pred_flops[i] for i in ids]
-    reports = []
-    for path, values in ((args.predictions_tos, tos_values),
-                         (args.predictions_flops, flops_values)):
+        values = [predicted[i] for i in ids]
         with located(f"{path} against {args.actual}"):
-            reports.append(error_metrics(values, actual_values))
-    tos_report, flops_report = reports
+            scored.append((values, error_metrics(values, actual_values)))
+    (tos_values, tos_report), (flops_values, flops_report) = scored
 
     raw = args.raw
     rows = [["model_id", "actual_j", "tos_predicted_j", "tos_precision_pct",

@@ -377,6 +377,7 @@ def error_metrics(predicted: Sequence[float], actual: Sequence[float]) -> ErrorR
                          f"vs {len(actual)} actuals")
     if not predicted:
         raise ValueError("need at least one prediction")
+    errors, precision = [], []
     for i, (p, a) in enumerate(zip(predicted, actual)):
         if not (math.isfinite(p) and math.isfinite(a)):
             raise ValueError(f"predicted and actual energies must be finite; "
@@ -384,21 +385,17 @@ def error_metrics(predicted: Sequence[float], actual: Sequence[float]) -> ErrorR
         if a <= 0:
             raise ValueError(f"actual energy must be positive; "
                              f"violated at index {i}")
-    errors = [float(p) - float(a) for p, a in zip(predicted, actual)]
-    precision = tuple(100.0 * (1.0 - abs(e) / float(a))
-                      for e, a in zip(errors, actual))
-    for i, (e, p) in enumerate(zip(errors, precision)):
-        if not (math.isfinite(e) and math.isfinite(p)):
+        error = float(p) - float(a)
+        errors.append(error)
+        precision.append(100.0 * (1.0 - abs(error) / float(a)))
+        if not (math.isfinite(error) and math.isfinite(precision[-1])):
             raise ValueError(f"the error or the precision overflows a float; "
                              f"violated at index {i}")
-    avg_error = left_sum(abs(e) for e in errors) / len(errors)
+    avg_error = left_sum(map(abs, errors)) / len(errors)
     if not math.isfinite(avg_error):
         raise ValueError("the mean absolute error overflows a float")
-    max_error = errors[0]
-    for e in errors[1:]:
-        if abs(e) > abs(max_error):
-            max_error = e
-    return ErrorReport(precision=precision, avg_error=avg_error, max_error=max_error)
+    return ErrorReport(precision=tuple(precision), avg_error=avg_error,
+                       max_error=max(errors, key=abs))
 
 
 def tradeoff_select(candidates: Sequence[tuple[str, float, float]],
@@ -412,11 +409,12 @@ def tradeoff_select(candidates: Sequence[tuple[str, float, float]],
         raise ValueError("candidate list is empty")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    best_id, best_score = None, None
-    for model_id, energy, loss in candidates:
-        score = alpha * float(energy) + (1.0 - alpha) * float(loss)
-        if not math.isfinite(score):
+
+    def score(candidate: tuple[str, float, float]) -> float:
+        model_id, energy, loss = candidate
+        value = alpha * float(energy) + (1.0 - alpha) * float(loss)
+        if not math.isfinite(value):
             raise ValueError(f"candidate {model_id!r}: score is not finite")
-        if best_score is None or score < best_score:
-            best_id, best_score = model_id, score
-    return best_id
+        return value
+
+    return min(candidates, key=score)[0]

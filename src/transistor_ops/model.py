@@ -280,8 +280,8 @@ class ModelSpec(Value):
                    as_count(dataset_len, "dataset_len"), as_count(batch_size, "batch_size"),
                    as_count(epochs, "epochs"))
         for i, (a, b) in enumerate(zip(layers, layers[1:]), start=1):
-            if a.__class__ is b.__class__ is FullyConnected and a.outputs != b.inputs:
-                raise ValidationError(f"layer {i} produces {a.outputs} outputs but "
+            if b.__class__ is FullyConnected and a.output_units != b.inputs:
+                raise ValidationError(f"layer {i} produces {a.output_units} outputs but "
                                       f"layer {i + 1} expects {b.inputs} inputs")
         if batch_size > dataset_len:
             raise ValidationError(

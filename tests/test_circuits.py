@@ -299,7 +299,8 @@ class TestCensusLowering:
             layers = [Convolutional(rng.randint(1, 12), rng.randint(1, 5), rng.randint(1, 8),
                                     rng.randint(1, 8), rng.choice(list(Activation)))
                       for _ in range(rng.randint(1, 3))]
-            layers.append(FullyConnected(rng.randint(1, 50), rng.randint(1, 10),
+            rng.randint(1, 50)  # unused: it keeps the seeded draws of the later shapes
+            layers.append(FullyConnected(layers[-1].output_units, rng.randint(1, 10),
                                          rng.choice(list(Activation))))
             table = rng.choice(self.TABLES)
             for fmt in (FP16, FP32, FP64):

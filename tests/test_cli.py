@@ -513,6 +513,11 @@ BAD_INPUTS = {
         {"long.json": json.dumps(model_doc([4, 4, 1], dataset_len=10 ** 160,
                                            epochs=10 ** 160))},
         ["tos", "{long.json}", "--level", "training"], "long.json", "overflow"),
+    "count-past-the-digit-limit": (
+        {"longer.json": json.dumps(model_doc([4, 4, 1], dataset_len=10 ** 4000,
+                                             epochs=10 ** 4000))},
+        ["count", "{longer.json}", "--level", "training"], "longer.json",
+        "model 'm': a count has more than 4300 digits"),
     "overflowing-estimate": (
         {"steep.json": FITTED.replace('"slope_j_per_to": 1.0', '"slope_j_per_to": 1e300'),
          "big_tos.csv": "model_id,tos\nx,1e300\n"},
@@ -529,6 +534,10 @@ BAD_INPUTS = {
         "m__trimmed_mean.csv", "run id 'trimmed_mean' is reserved"),
     "sweep-conv-base": ({"conv.json": CONV_DOC}, ["sweep", "{conv.json}", "--widths", "2..3"],
                         "conv.json", "model 'm': family generation is defined"),
+    "flatten-fan-in-mismatch": (
+        {"flat.json": CONV_DOC.replace('"inputs": 8', '"inputs": 99')},
+        ["count", "{flat.json}"], "flat.json",
+        "layer 1 produces 8 outputs but layer 2 expects 99 inputs"),
     "sweep-one-layer-base": ({"one.json": json.dumps(model_doc([4, 1]))},
                              ["sweep", "{one.json}", "--widths", "2..3"],
                              "one.json", "model 'm': base model needs at least one hidden"),

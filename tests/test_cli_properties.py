@@ -72,6 +72,8 @@ def models(draw):
     if draw(st.booleans()):
         doc["layers"][0] = {"kind": "convolutional", "out_width": 2, "kernel": 1,
                             "in_channels": 1, "out_channels": 1, "activation": "gelu"}
+        if len(doc["layers"]) > 1:
+            doc["layers"][1]["inputs"] = 4  # the convolution's 2 * 2 * 1 output units
     paths = [(key,) for key in doc] + [("training", key) for key in doc["training"]]
     paths += [("layers", i, key) for i in range(len(doc["layers"]))
               for key in doc["layers"][i]]

@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transistor_ops import (
     ColumnAdapter,
@@ -30,6 +31,20 @@ from transistor_ops.energy import (
     write_energy_samples,
     write_linear_model,
 )
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
+
+# Few distinct values, so equal magnitudes of both signs and equal scores recur.
+ACTUALS = st.one_of(st.sampled_from([1.0, 2.0, 4.0, 10.0]), st.floats(0.5, 100.0))
+MAGNITUDES = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+
+
+@st.composite
+def scored_pairs(draw):
+    """(predicted, actual) lists whose errors repeat magnitudes with both signs."""
+    actual = draw(st.lists(ACTUALS, min_size=1, max_size=8))
+    predicted = [a + draw(st.sampled_from([-1.0, 1.0])) * draw(MAGNITUDES) for a in actual]
+    return predicted, actual
 
 
 class TestIntegration:
@@ -290,6 +305,23 @@ class TestErrorMetrics:
         with pytest.raises(ValueError, match="mean absolute error overflows"):
             error_metrics([-7e307, -7e307], [1e308, 1e308])
 
+    @PROPERTY
+    @given(scored_pairs())
+    def test_matches_a_brute_force_reference(self, pairs):
+        predicted, actual = pairs
+        report = error_metrics(predicted, actual)
+        errors = [p - a for p, a in zip(predicted, actual)]
+        largest = max(abs(e) for e in errors)
+        first_largest = next(e for e in errors if abs(e) == largest)
+        assert (report.max_error, math.copysign(1.0, report.max_error)) \
+            == (first_largest, math.copysign(1.0, first_largest))
+        assert report.precision == tuple(100.0 * (1.0 - abs(e) / a)
+                                         for e, a in zip(errors, actual))
+        total = 0.0
+        for e in errors:
+            total += abs(e)
+        assert report.avg_error == total / len(errors)
+
 
 class TestTradeoff:
     CANDIDATES = [("A", 10.0, 0.5), ("B", 5.0, 0.9)]
@@ -317,6 +349,16 @@ class TestTradeoff:
 
     def test_tie_breaks_to_first(self):
         assert tradeoff_select([("X", 1.0, 1.0), ("Y", 1.0, 1.0)], 0.5) == "X"
+
+    @PROPERTY
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                              st.sampled_from([0.0, 0.5, 1.0])), min_size=1, max_size=8),
+           st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_selects_the_first_of_least_score(self, values, alpha):
+        candidates = [(f"m{i}", energy, loss) for i, (energy, loss) in enumerate(values)]
+        scores = [alpha * energy + (1.0 - alpha) * loss for _, energy, loss in candidates]
+        first_least = next(c for c, s in zip(candidates, scores) if s == min(scores))
+        assert tradeoff_select(candidates, alpha) == first_least[0]
 
     def test_empty_candidates(self):
         with pytest.raises(ValueError):

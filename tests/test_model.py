@@ -57,9 +57,11 @@ class TestModelSpec:
         with pytest.raises(ValidationError, match="layer 1.*layer 2"):
             ModelSpec("m", FP32, (FullyConnected(4, 13), FullyConnected(12, 13)))
 
-    def test_conv_breaks_the_chain_check(self):
-        # Mixed stacks only check adjacent fully-connected pairs.
+    def test_dense_after_conv_takes_its_output_units(self):
         ModelSpec("m", FP32, (Convolutional(2, 3, 1, 2), FullyConnected(8, 1)))
+        with pytest.raises(ValidationError,
+                           match="layer 1 produces 8 outputs but layer 2 expects 9 inputs"):
+            ModelSpec("m", FP32, (Convolutional(2, 3, 1, 2), FullyConnected(9, 1)))
 
     def test_batch_size_bounded_by_dataset(self):
         with pytest.raises(ValidationError, match="batch_size"):

@@ -72,7 +72,14 @@ CONV_LAYER = st.builds(
                                     "activation": act},
     st.integers(1, 12), st.integers(1, 5), st.integers(1, 8), st.integers(1, 8), ACTIVATIONS)
 
-CONV_FC_STACKS = st.builds(lambda convs, fc: convs + fc,
+
+def conv_fc_stack(convs, fc):
+    """``convs`` then ``fc``, whose first layer takes the flattened last convolution."""
+    last = convs[-1]
+    return [*convs, {**fc[0], "inputs": last["out_width"] ** 2 * last["out_channels"]}, *fc[1:]]
+
+
+CONV_FC_STACKS = st.builds(conv_fc_stack,
                            st.lists(CONV_LAYER, min_size=1, max_size=3), fc_stacks(64))
 
 
