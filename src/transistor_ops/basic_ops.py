@@ -19,9 +19,9 @@ accumulation, and the input-delta pass for every layer but the first.
 Parameter updates are a separate per-batch census (one multiply and one
 subtract per parameter).
 
-Each closed form is written once, as a function on plain
-``(add, sub, mul, div, root)`` int tuples; :func:`census` walks a model's
-layers with them and feeds both :func:`count_model` and
+Each closed form is written once, in :func:`census`, which walks a
+model's layers once on plain ``(add, sub, mul, div, root)`` int tuples
+and feeds both :func:`count_model` and
 :func:`transistor_ops.circuits.analyze`. :class:`BasicOpCounts` is built
 only at the public boundary, where it validates values given from outside.
 All functions are pure; counts are value-independent and validated
@@ -37,7 +37,6 @@ from .model import (
     AnalysisLevel,
     FieldError,
     FullyConnected,
-    LayerSpec,
     ModelSpec,
     Value,
     as_int,
@@ -93,83 +92,67 @@ _ACT_BACKWARD: dict[Activation, Counts] = {
 }
 
 
-def _scaled(counts: Counts, factor: int) -> Counts:
-    a, s, m, d, r = counts
-    return (a * factor, s * factor, m * factor, d * factor, r * factor)
-
-
 def _total(vectors: Iterable[Counts]) -> Counts:
     """Componentwise sum of a non-empty sequence of census vectors."""
     return tuple(map(sum, zip(*vectors)))
 
 
 def scale_to_run(per_instance: Counts, update_per_batch: Counts,
-                 model: ModelSpec) -> Counts:
-    """Scale a per-instance census to one run: dataset_len * epochs
-    instances plus the per-batch update census times every optimizer step."""
-    instances, steps = model.instances_per_run, model.steps_per_run
-    return tuple(n * instances + u * steps for n, u in zip(per_instance, update_per_batch))
+                 instances: int, steps: int) -> Counts:
+    """One run's census: the per-instance census times ``instances``
+    (dataset_len * epochs) plus the per-batch update times ``steps``."""
+    a, s, m, d, r = per_instance
+    ua, us, um, ud, ur = update_per_batch
+    return (a * instances + ua * steps, s * instances + us * steps, m * instances + um * steps,
+            d * instances + ud * steps, r * instances + ur * steps)
 
 
-def _forward(layer: LayerSpec) -> tuple[Counts, Counts]:
-    """Per-instance forward census and its activation part. Each output
-    accumulates its products and adds the bias, so adds == muls."""
-    a, s, m, d, r = act = _scaled(_ACT_FORWARD[layer.activation], layer.output_units)
-    macs = layer.macs
-    return (a + macs, s, m + macs, d, r), act
-
-
-def _backprop(layer: FullyConnected, is_first_layer: bool) -> tuple[Counts, Counts]:
-    """Per-instance backprop census and its activation-derivative part.
-
-    The linear part covers weight-gradient accumulation (I*O mul + I*O
-    add), bias-gradient accumulation (O add) and, unless this is the
-    first layer, the input-delta pass (I*O mul + I*(O-1) add).
-    """
-    i, o = layer.inputs, layer.outputs
-    a, s, m, d, r = derivative = _scaled(_ACT_BACKWARD[layer.activation], o)
-    deltas = 0 if is_first_layer else i  # fan-in of the input-delta pass
-    return (a + i * o + o + deltas * (o - 1), s, m + i * o + deltas * o, d, r), derivative
-
-
-def _update(layer: FullyConnected) -> Counts:
-    """Per-batch-step SGD update: each parameter costs one multiply
-    (learning rate) and one subtract."""
-    params = layer.inputs * layer.outputs + layer.outputs
+def _update(params: int) -> Counts:
+    """Per-batch-step SGD update of ``params`` parameters: each costs one
+    multiply (learning rate) and one subtract."""
     return (0, params, params, 0, 0)
-
-
-def _loss(output_layer: LayerSpec) -> Counts:
-    """MSE, the only loss, over O outputs: O subtractions, O squarings,
-    O-1 accumulation adds and one division for the mean."""
-    units = output_layer.output_units
-    return (units - 1, units, units, 1, 0)
 
 
 def census(model: ModelSpec, level: AnalysisLevel
            ) -> tuple[list[tuple[Counts, Counts, Counts]], Counts, Counts, Counts]:
     """The model's census at ``level`` as int tuples: the per-layer
     (forward, backprop, update) vectors, the loss, the update total per
-    batch step and the per-instance non-linear aggregate. Phases the
-    level excludes are zero."""
+    batch step and the per-instance non-linear aggregate (activations,
+    their derivatives and the loss). Phases the level excludes are zero.
+
+    A layer's forward pass is its activation's ops per unit plus its MACs
+    (each output adds its products and the bias). Its backprop is the
+    derivative ops per unit, the weight and bias gradients (I*O mul, I*O + O
+    add) and, but for the first layer, the input deltas (I*O mul, I*(O-1)
+    add). The MSE loss over O outputs is O sub, O mul, O-1 add and 1 div.
+    """
     training = level.includes_backprop
-    layers, nonlinear = [], []
+    units = model.layers[-1].output_units
+    loss = (units - 1, units, units, 1, 0) if level.includes_loss else _ZERO
+    layers = []
+    # The parameters to update and the non-linear census from the loss on, as exact ints.
+    params, (na, ns, nm, nd, nr) = 0, loss
     for index, layer in enumerate(model.layers):
-        if training and not isinstance(layer, FullyConnected):
+        if training and layer.__class__ is not FullyConnected:
             raise UnsupportedError(f"training-level analysis requires fully-connected "
                                    f"layers only; layer {index + 1} is convolutional")
-        forward, act = _forward(layer)
-        nonlinear.append(act)
-        if training:
-            backprop, derivative = _backprop(layer, index == 0)
-            nonlinear.append(derivative)
-            layers.append((forward, backprop, _update(layer)))
-        else:
+        units, macs = layer.output_units, layer.macs
+        a, s, m, d, r = _ACT_FORWARD[layer.activation]
+        a, s, m, d, r = a * units, s * units, m * units, d * units, r * units
+        na, ns, nm, nd, nr = na + a, ns + s, nm + m, nd + d, nr + r
+        forward = (a + macs, s, m + macs, d, r)
+        if not training:
             layers.append((forward, _ZERO, _ZERO))
-    loss = _loss(model.layers[-1]) if level.includes_loss else _ZERO
-    nonlinear.append(loss)
-    update = _total(update for _, _, update in layers)
-    return layers, loss, update, _total(nonlinear)
+            continue
+        a, s, m, d, r = _ACT_BACKWARD[layer.activation]
+        a, s, m, d, r = a * units, s * units, m * units, d * units, r * units
+        na, ns, nm, nd, nr = na + a, ns + s, nm + m, nd + d, nr + r
+        deltas = layer.inputs if index else 0  # fan-in of the input-delta pass
+        n = macs + units  # a dense layer's weights and biases
+        params += n
+        backprop = (a + n + deltas * (units - 1), s, m + macs + deltas * units, d, r)
+        layers.append((forward, backprop, _update(n)))
+    return layers, loss, _update(params), (na, ns, nm, nd, nr)
 
 
 class LayerBoProfile(NamedTuple):
@@ -207,5 +190,6 @@ def count_model(model: ModelSpec, level: AnalysisLevel) -> ModelBoReport:
         loss=BasicOpCounts(*loss),
         update_per_batch=BasicOpCounts(*update),
         per_instance=BasicOpCounts(*per_instance),
-        per_run=BasicOpCounts(*scale_to_run(per_instance, update, model)),
+        per_run=BasicOpCounts(*scale_to_run(per_instance, update, model.instances_per_run,
+                                            model.steps_per_run)),
     )

@@ -36,7 +36,6 @@ from .model import (
     as_count,
     as_positive,
     check_keys,
-    left_sum,
     parse_json_object,
     placed,
     read_document,
@@ -175,27 +174,23 @@ def analyze(model: ModelSpec, level: AnalysisLevel,
     costs = fp_cost_vector(model.float_format, table)
     instances, steps = model.instances_per_run, model.steps_per_run
 
-    layer_forward = tuple(_dot(forward, costs) for forward, _, _ in layers)
-    layer_backprop = tuple(_dot(backprop, costs) for _, backprop, _ in layers)
-    update_per_batch = _dot(update_counts, costs)
-    loss = _dot(loss_counts, costs)
+    layer_forward, layer_backprop = [], []
+    forward = backprop = 0.0  # each layer added left to right, as by `left_sum`
+    for forward_counts, backprop_counts, _ in layers:
+        tos = _dot(forward_counts, costs)
+        layer_forward.append(tos)
+        forward += tos
+        tos = _dot(backprop_counts, costs)
+        layer_backprop.append(tos)
+        backprop += tos
+    loss, update = _dot(loss_counts, costs), _dot(update_counts, costs)
 
-    per_instance = PhaseTos(left_sum(layer_forward), left_sum(layer_backprop), loss)
-    per_run = PhaseTos(per_instance.forward * instances, per_instance.backprop * instances,
-                       per_instance.loss * instances, update_per_batch * steps)
-    step = 1.0 / steps
-    per_step = PhaseTos(per_run.forward * step, per_run.backprop * step,
-                        per_run.loss * step, per_run.update * step)
-
-    nonlinear_run = _dot(scale_to_run(nonlinear, update_counts, model), costs)
-    share = nonlinear_run / per_run.total if per_run.total > 0 else 0.0
-
-    return ToProfile(
-        layer_forward=layer_forward,
-        layer_backprop=layer_backprop,
-        update_per_batch=update_per_batch,
-        per_instance=per_instance,
-        per_run=per_run,
-        per_step=per_step,
-        nonlinear_share=share,
-    )
+    per_run = PhaseTos(forward * instances, backprop * instances, loss * instances,
+                       update * steps)
+    step, total = 1.0 / steps, per_run.total
+    nonlinear_run = _dot(scale_to_run(nonlinear, update_counts, instances, steps), costs)
+    # ToProfile's fields: per layer, update per batch, per instance/run/step, share.
+    return ToProfile(tuple(layer_forward), tuple(layer_backprop), update,
+                     PhaseTos(forward, backprop, loss), per_run,
+                     PhaseTos(*[tos * step for tos in per_run]),
+                     nonlinear_run / total if total > 0 else 0.0)

@@ -36,6 +36,7 @@ from .energy import (
     fit,
     load_adapter,
     load_linear_model,
+    positive_float,
     read_power_trace,
     read_table,
     tradeoff_select,
@@ -135,9 +136,9 @@ def _read_rows(path: str, columns: dict) -> list[tuple]:
     return read_document(path, lambda fh: list(read_table(fh, columns)))
 
 
-def _read_by_id(path: str, column: str) -> dict[str, float]:
+def _read_by_id(path: str, column: str, convert=finite_float) -> dict[str, float]:
     """A ``model_id -> column`` table in file order; ids must be unique."""
-    rows = _read_rows(path, {"model_id": str, column: finite_float})
+    rows = _read_rows(path, {"model_id": str, column: convert})
     with located(path):
         return unique_dict(rows, "model_id")
 
@@ -353,7 +354,7 @@ def cmd_sweep(args) -> str:
 def cmd_compare(args) -> str:
     predictions = [(path, _read_by_id(path, "predicted_j"))
                    for path in (args.predictions_tos, args.predictions_flops)]
-    actual = _read_by_id(args.actual, "joules")
+    actual = _read_by_id(args.actual, "joules", positive_float)
     ids = list(actual)
     actual_values = list(actual.values())
     scored = []
@@ -500,7 +501,11 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser(argv).parse_args(argv)
+        parser = _build_parser(argv)
+        if argv[:1] == ["--"]:  # taken for the command before Python 3.12, skipped after
+            parser.error(f"argument command: invalid choice: '--' (choose from "
+                         f"{', '.join(map(repr, COMMANDS))})")
+        args = parser.parse_args(argv)
     except SystemExit as e:  # --help, or a usage error argparse has printed
         return e.code
     try:

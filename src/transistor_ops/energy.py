@@ -57,6 +57,14 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_float(text: str) -> float:
+    """CSV cell converter: a finite float > 0."""
+    value = finite_float(text)
+    if value <= 0:
+        raise ValueError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def _open_table(source: str | IO[str], names: Iterable[str], error=ParseError):
     """A CSV reader past the header, the header's width and the column of each name."""
     reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)

@@ -21,7 +21,7 @@ import sys
 from contextlib import contextmanager
 from enum import Enum
 from functools import reduce
-from operator import add, attrgetter
+from operator import add, attrgetter, itemgetter
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -76,6 +76,8 @@ def as_member(value: Any, enum: type[E], name: str) -> E:
     """A member of ``enum``, given as itself or as its value."""
     if value.__class__ is enum:
         return value
+    if value.__class__ is str and (member := enum._value2member_map_.get(value)) is not None:
+        return member  # found in the value-to-member dict Enum builds once
     try:
         return enum(value)
     except ValueError:
@@ -119,7 +121,9 @@ class Value:
 
     def _fill(self, *values) -> None:
         """Set the fields to ``values``, in ``__slots__`` order."""
-        for set_field, value in zip(self._setters, values, strict=True):
+        if len(values) != len(self._setters):
+            raise ValueError(f"{len(values)} values for {len(self._setters)} fields")
+        for set_field, value in zip(self._setters, values):
             set_field(self, value)
 
     def __eq__(self, other):
@@ -251,6 +255,9 @@ LayerSpec = FullyConnected | Convolutional
 # keys are the class's fields.
 LAYER_KINDS = {"fully_connected": FullyConnected, "convolutional": Convolutional}
 _KIND_OF = {cls: kind for kind, cls in LAYER_KINDS.items()}
+# kind -> (its layer class, its document's keys, the getter of the field values)
+_LAYER_READERS = {kind: (cls, {"kind", *cls.__slots__}, itemgetter(*cls.__slots__))
+                  for kind, cls in LAYER_KINDS.items()}
 
 
 class ModelSpec(Value):
@@ -386,16 +393,17 @@ def placed(place: Callable[[str], str], build: Callable[..., T], *args, **kwargs
 
 
 def _parse_layer(obj: Any, index: int) -> LayerSpec:
-    where = f"layers[{index}]"
     if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
+        raise ParseError(f"layers[{index}]: expected an object")
     kind = obj.get("kind")
-    cls = LAYER_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ParseError(f"{where}.kind: expected one of {sorted(LAYER_KINDS)}, got {kind!r}")
-    keys = {"kind", *cls.__slots__}
-    check_keys(obj, keys, keys, where)
-    return placed(lambda field: f"{where}.{field}", cls, *map(obj.get, cls.__slots__))
+    reader = _LAYER_READERS.get(kind) if isinstance(kind, str) else None
+    if reader is None:
+        raise ParseError(f"layers[{index}].kind: expected one of {sorted(LAYER_KINDS)}, "
+                         f"got {kind!r}")
+    cls, keys, fields = reader
+    if obj.keys() != keys:
+        check_keys(obj, keys, keys, f"layers[{index}]")
+    return placed(lambda field: f"layers[{index}].{field}", cls, *fields(obj))
 
 
 _MODEL_KEYS = {"name", "float_format", "loss", "training", "layers"}

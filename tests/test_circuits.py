@@ -31,6 +31,7 @@ from transistor_ops import (
 )
 
 from conftest import fc_model, quadratic_through
+from exact_corpus import digests
 
 
 class TestAdder:
@@ -308,3 +309,18 @@ class TestCensusLowering:
                                   **self.training_shape(rng))
                 for level in (AnalysisLevel.INFERENCE, AnalysisLevel.VALIDATION):
                     assert analyze(model, level, table) == lowered_report(model, level, table)
+
+
+# name -> the sha256 (first 16 hex digits) of the repr of that function's
+# results over `exact_corpus.corpus()`.
+EXACT = {"parse_model": "f00d8a4b4d2da73c", "count_model": "0a2984db7173bd63",
+         "analyze": "8f46d37918fcca2e"}
+
+
+class TestExactValues:
+    """The parsed models, their census and their lowering, pinned bit for
+    bit: a reordered float sum moves a last digit, and so the digest."""
+
+    @pytest.mark.parametrize("name", sorted(EXACT))
+    def test_seeded_corpus(self, name):
+        assert digests()[name] == EXACT[name]

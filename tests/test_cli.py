@@ -562,6 +562,12 @@ BAD_INPUTS = {
          "p2.csv": "model_id,predicted_j\na,100\nb,200\nc,300\n",
          "act.csv": "model_id,joules\na,110\nb,190\n"},
         ["compare", "{p1.csv}", "{p2.csv}", "{act.csv}"], "p2.csv", "model 'c'"),
+    "compare-non-positive-actual": (
+        {"p1.csv": "model_id,predicted_j\na,100\nb,200\n",
+         "p2.csv": "model_id,predicted_j\na,100\nb,200\n",
+         "act.csv": "model_id,joules\na,110\nb,0\n"},
+        ["compare", "{p1.csv}", "{p2.csv}", "{act.csv}"], "act.csv",
+        "act.csv: row 3: expected a positive number, got '0'"),
     "estimate-empty-tos-file": (
         {"fitted.json": FITTED, "empty.csv": "model_id,tos\n"},
         ["estimate", "--tos-file", "{empty.csv}", "--fitted", "{fitted.json}"],

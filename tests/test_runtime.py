@@ -14,11 +14,13 @@ import pytest
 import transistor_ops
 
 from conftest import model_doc, write_model_doc
-from test_golden import CASES, EXPECTED, resolve
+from test_circuits import EXACT
+from test_golden import CASES, EXPECTED, GOLDEN, resolve
 from test_usage import CORPUS, DEFAULTS
 
 SRC = str(Path(transistor_ops.__file__).resolve().parents[1])
 ROOT = Path(__file__).resolve().parents[1]
+TESTS = str(ROOT / "tests")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # Each demo's stdout, byte for byte, as an earlier version printed it.
 DEMO_EXPECTED = Path(__file__).parent / "demo_expected"
@@ -165,15 +167,18 @@ def other_interpreters():
     return found
 
 
-# Reads [golden cases, parser corpus, minimal argv] on stdin. Each golden
-# case is [name, argv, out path or null, svg path or null]; the child
-# writes, per case, its exit code, stdout and the two files' text. It also
-# parses each corpus argv with the parser built for it and with the full
-# parser, and lists the argv on which the two differ in namespace (by its
-# repr, as NaN is unequal to itself), exit code or output. Last, it writes
-# the repr of the sorted namespace, handler left out, of each minimal argv.
+# Reads [golden cases, parser corpus, minimal argv, a model file] on stdin.
+# Each golden case is [name, argv, out path or null, svg path or null]; the
+# child writes, per case, its exit code, stdout and the two files' text. It
+# also parses each corpus argv with the parser built for it and with the
+# full parser, and lists the argv on which the two differ in namespace (by
+# its repr, as NaN is unequal to itself), exit code or output. Then it
+# writes the repr of the sorted namespace, handler left out, of each
+# minimal argv; the exit code and stdout of `-- count <model file>`; and
+# the digests of `exact_corpus`.
 CHILD = """
 import contextlib, io, json, sys
+from exact_corpus import digests
 from transistor_ops.cli import _build_parser, main
 def text(path):
     with open(path, encoding="utf-8", newline="") as fh:
@@ -186,7 +191,7 @@ def parsed(argv, parser):
         except SystemExit as e:
             value = e.code
     return value, out.getvalue(), err.getvalue()
-cases, corpus, minimal = json.load(sys.stdin)
+cases, corpus, minimal, model = json.load(sys.stdin)
 results = {}
 for name, argv, out, svg in cases:
     stdout = io.StringIO()
@@ -199,14 +204,19 @@ def defaults(argv):
     namespace = vars(_build_parser(argv).parse_args(argv))
     del namespace["handler"]
     return repr(sorted(namespace.items()))
-json.dump([results, unlike, [defaults(argv) for argv in minimal]], sys.stdout)
+stdout = io.StringIO()
+with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    code = main(["--", "count", model])
+json.dump([results, unlike, [defaults(argv) for argv in minimal],
+           [code, stdout.getvalue()], digests()], sys.stdout)
 """
 
 
 @pytest.fixture(scope="module")
 def other_runs(tmp_path_factory):
-    """exe -> [golden results, corpus argv parsed differently, defaults]
-    of each other interpreter's child."""
+    """exe -> [golden results, corpus argv parsed differently, defaults,
+    [exit code, stdout] of a leading ``--``, corpus digests] of each other
+    interpreter's child."""
     pythons = other_interpreters()
     if not pythons:
         pytest.skip("no python3.10 ... python3.14 other than this one starts from PATH")
@@ -221,8 +231,10 @@ def other_runs(tmp_path_factory):
     for exe in pythons:
         proc = subprocess.run([exe, "-c", CHILD],
                               input=json.dumps([cases, list(CORPUS.values()),
-                                                [argv for argv, _ in DEFAULTS.values()]]),
-                              env=dict(os.environ, PYTHONPATH=SRC, COLUMNS="80"),
+                                                [argv for argv, _ in DEFAULTS.values()],
+                                                str(GOLDEN / "fc.json")]),
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, TESTS)),
+                                       COLUMNS="80"),
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, f"{exe}: {proc.stderr}"
         runs[exe] = json.loads(proc.stdout)
@@ -231,7 +243,7 @@ def other_runs(tmp_path_factory):
 
 def test_other_interpreters_print_the_golden_bytes(other_runs):
     mismatched = {}
-    for exe, (results, _, _) in other_runs.items():
+    for exe, (results, *_) in other_runs.items():
         for name, (code, stdout, out, svg) in sorted(results.items()):
             printed = stdout if out is None else out
             svg_expected = EXPECTED / f"{name}.svg"
@@ -244,7 +256,7 @@ def test_other_interpreters_print_the_golden_bytes(other_runs):
 
 
 def test_other_interpreters_parse_alike_with_one_command_or_all(other_runs):
-    unlike = {exe: argvs for exe, (_, argvs, _) in other_runs.items() if argvs}
+    unlike = {exe: argvs for exe, (_, argvs, *_) in other_runs.items() if argvs}
     assert unlike == {}, f"the one-command parser differs from the full one: {unlike}"
 
 
@@ -252,5 +264,16 @@ def test_other_interpreters_parse_the_recorded_defaults(other_runs):
     expected = [repr(sorted(namespace.items())) for _, namespace in DEFAULTS.values()]
     unlike = {exe: [command for command, got, want in zip(DEFAULTS, defaults, expected)
                     if got != want]
-              for exe, (_, _, defaults) in other_runs.items() if defaults != expected}
+              for exe, (_, _, defaults, *_) in other_runs.items() if defaults != expected}
     assert unlike == {}, f"other defaults parsed: {unlike}"
+
+
+def test_other_interpreters_reject_a_leading_double_dash(other_runs):
+    # argparse before 3.12 takes `--` for the command; later ones skip it.
+    outcomes = {exe: outcome for exe, (_, _, _, outcome, _) in other_runs.items()}
+    assert outcomes == {exe: [2, ""] for exe in other_runs}
+
+
+def test_other_interpreters_compute_the_pinned_digests(other_runs):
+    unlike = {exe: got for exe, (*_, got) in other_runs.items() if got != EXACT}
+    assert unlike == {}, f"other digests computed: {unlike}"
